@@ -3,8 +3,14 @@
 Every benchmark regenerates one of the paper's tables or figures.  Besides
 the pytest-benchmark timing, each test renders its rows through the
 ``record`` fixture; at the end of the session everything is written to
-``benchmarks/RESULTS.md`` so the paper-vs-measured comparison of
+``benchmarks/out/RESULTS.md`` so the paper-vs-measured comparison of
 EXPERIMENTS.md can be refreshed from one run.
+
+Session outputs go to the git-ignored ``benchmarks/out/`` directory, so a
+test run never rewrites a tracked file.  The committed
+``benchmarks/RESULTS.md`` and ``benchmarks/BENCH.json`` are reference
+snapshots of a full run; refresh them by copying a full session's
+outputs over them on purpose.
 """
 
 from __future__ import annotations
@@ -18,11 +24,12 @@ import pytest
 from repro.core.config import derive_configuration
 from repro.operators.library import default_library
 
-RESULTS_PATH = os.path.join(os.path.dirname(__file__), "RESULTS.md")
-BENCH_PATH = os.path.join(os.path.dirname(__file__), "BENCH.json")
+OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
+RESULTS_PATH = os.path.join(OUT_DIR, "RESULTS.md")
+BENCH_PATH = os.path.join(OUT_DIR, "BENCH.json")
 
 #: Machine-readable perf telemetry of one benchmark session, written to
-#: ``benchmarks/BENCH.json`` at session end so the perf trajectory is
+#: ``benchmarks/out/BENCH.json`` at session end so the perf trajectory is
 #: comparable across PRs (CI uploads it as an artifact):
 #: ``tests`` maps each benchmark test to its real wall-clock seconds;
 #: ``metrics`` holds structured per-benchmark numbers (executor
@@ -70,6 +77,7 @@ def _recorder():
     recorder = _Recorder()
     yield recorder
     if recorder.sections:
+        os.makedirs(OUT_DIR, exist_ok=True)
         with open(RESULTS_PATH, "w") as f:
             f.write(recorder.render())
 
@@ -106,6 +114,7 @@ def pytest_runtest_logreport(report):
 def pytest_sessionfinish(session):
     """Write BENCH.json whenever this session ran any benchmark."""
     if _BENCH["tests"] or _BENCH["metrics"]:
+        os.makedirs(OUT_DIR, exist_ok=True)
         with open(BENCH_PATH, "w") as f:
             json.dump(_BENCH, f, indent=1, sort_keys=True)
             f.write("\n")

@@ -35,6 +35,18 @@ from repro.analysis.tables import (
 )
 from repro.cache import CacheConfig, POLICIES, TierConfig
 from repro.core.store import VStore
+from repro.errors import (
+    BudgetError,
+    CodecError,
+    ConfigurationError,
+    ErosionError,
+    FidelityError,
+    KnobError,
+    ProfilingError,
+    QueryError,
+    StorageError,
+    VStoreError,
+)
 from repro.storage.sharding import PLACEMENTS
 from repro.ingest.budget import IngestBudget
 from repro.operators.library import TABLE2_ORDER, default_library
@@ -501,9 +513,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Exit status per library error family (first matching class wins).
+#: 1 stays bench-diff's "regression found" and 2 argparse's usage error;
+#: any other :class:`~repro.errors.VStoreError` exits with 1.
+EXIT_CODES = (
+    (StorageError, 3),
+    (ConfigurationError, 4),
+    (BudgetError, 4),
+    (ErosionError, 4),
+    (QueryError, 5),
+    (KnobError, 6),
+    (FidelityError, 6),
+    (CodecError, 6),
+    (ProfilingError, 6),
+)
+
+
+def exit_code(exc: VStoreError) -> int:
+    """The exit status :func:`main` returns for a library error."""
+    return next((code for cls, code in EXIT_CODES if isinstance(exc, cls)),
+                1)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command; a library error becomes one line on stderr.
+
+    The line reads ``repro <command>: <ErrorClass>: <message>`` and the
+    exit status names the error family (see :data:`EXIT_CODES`).
+    """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except VStoreError as exc:
+        print(f"repro {args.command}: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return exit_code(exc)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -70,6 +70,21 @@ class Demand:
     #: binding is provisional, not a format the planner chose for them.
     legacy: bool = False
 
+    def __post_init__(self) -> None:
+        # Demands key the planner's adequacy memo: hash once, with the
+        # field-tuple hash a frozen dataclass would compute.
+        object.__setattr__(self, "_hash", hash(
+            (self.consumer, self.cf_fidelity, self.required_speed,
+             self.legacy)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through __init__ so an unpickled copy recomputes its hash.
+        return (self.__class__, (self.consumer, self.cf_fidelity,
+                                 self.required_speed, self.legacy))
+
 
 @dataclass
 class SFPlan:

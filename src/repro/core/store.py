@@ -53,6 +53,8 @@ from repro.storage.sharding import (
     RebalanceReport,
     ShardedDiskArray,
 )
+from repro.video.content import ContentModel
+from repro.video.datasets import get_dataset
 
 
 @dataclass(frozen=True)
@@ -92,6 +94,9 @@ class VStore:
         self.clock = SimClock()
         self._config: Optional[Configuration] = None
         self._pipelines: Dict[str, IngestionPipeline] = {}
+        #: One content model per dataset, shared by every ingest pipeline
+        #: and query engine of this store (see :meth:`content`).
+        self._contents: Dict[str, ContentModel] = {}
         self._closed = False
         self._shards = shards
         self._placement = placement
@@ -241,6 +246,20 @@ class VStore:
 
     # -- ingestion ------------------------------------------------------------------
 
+    def content(self, dataset: str) -> ContentModel:
+        """This store's content model for ``dataset``.
+
+        Ingest, query planning and execution all synthesize their ground
+        truth through it, so a clip built once (for example by one aliased
+        fleet camera) is reused by the next caller from the model's
+        bounded clip memo.  The models are owned by the store: nothing
+        they memoize outlives it or is shared with another store.
+        """
+        model = self._contents.get(dataset)
+        if model is None:
+            model = self._contents[dataset] = get_dataset(dataset).content()
+        return model
+
     def _pipeline(self, dataset: str,
                   stream: Optional[str] = None) -> IngestionPipeline:
         key = stream or dataset
@@ -252,6 +271,7 @@ class VStore:
                 clock=self.clock,
                 budget=self.ingest_budget,
                 stream=stream,
+                content=self.content(dataset),
             )
         pipeline = self._pipelines[key]
         if pipeline.dataset != dataset:
@@ -288,7 +308,7 @@ class VStore:
     def engine(self, dataset: str) -> QueryEngine:
         self._check_open()
         return QueryEngine(self.configuration, self.library, dataset,
-                           cache=self.cache)
+                           cache=self.cache, content=self.content(dataset))
 
     def query(self, query: str, dataset: str, accuracy: float,
               duration: float) -> QueryReport:
@@ -331,6 +351,7 @@ class VStore:
         if self.segments is None:
             raise QueryError("concurrent execution requires a workdir-backed store")
         kwargs.setdefault("cache", self.cache)
+        kwargs.setdefault("content", self.content)
         kwargs.setdefault(
             "metrics", self.metrics if metrics_enabled() else None
         )

@@ -53,6 +53,7 @@ class IngestionPipeline:
         clock: Optional[SimClock] = None,
         budget: IngestBudget = IngestBudget(),
         stream: Optional[str] = None,
+        content: Optional[ContentModel] = None,
     ):
         self.dataset = dataset
         #: Stream name segments are stored under.  Defaults to the dataset
@@ -63,7 +64,9 @@ class IngestionPipeline:
             # Segment-store keys are "/"-structured; a "/" in the stream
             # name would leak this stream into other streams' prefix scans.
             raise ValueError(f"stream name must not contain '/': {self.stream!r}")
-        self.content: ContentModel = get_dataset(dataset).content()
+        #: The dataset's content model; a store passes its own so every
+        #: pipeline and query engine over one dataset shares its clip memo.
+        self.content: ContentModel = content or get_dataset(dataset).content()
         self.formats = list(formats)
         self.store = store
         self.codec = codec

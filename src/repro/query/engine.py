@@ -28,6 +28,7 @@ from repro.retrieval.speed import retrieval_speed
 from repro.rng import rng_for
 from repro.storage.disk import DiskModel, DEFAULT_DISK
 from repro.storage.segment_store import SegmentStore
+from repro.video.content import ContentModel
 from repro.video.datasets import get_dataset
 from repro.video.fidelity import Fidelity
 from repro.video.format import StorageFormat
@@ -106,6 +107,7 @@ class QueryEngine:
         codec: CodecModel = DEFAULT_CODEC,
         disk: DiskModel = DEFAULT_DISK,
         cache: Optional["CachePlane"] = None,
+        content: Optional[ContentModel] = None,
     ):
         self.config = config
         self.library = library
@@ -113,7 +115,9 @@ class QueryEngine:
         self.codec = codec
         self.disk = disk
         self.cache = cache
-        self._content = get_dataset(dataset).content()
+        # A store passes its own per-dataset model (and with it the clip
+        # memo its ingest pipelines already filled).
+        self._content = content or get_dataset(dataset).content()
         self._sample = self._content.clip(0.0, self.SELECTIVITY_SAMPLE)
 
     # -- analytic estimation --------------------------------------------------------

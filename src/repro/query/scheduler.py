@@ -67,6 +67,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.query.cascade import QueryCascade
     from repro.query.engine import ExecutionResult, QueryEngine
     from repro.storage.segment_store import SegmentStore
+    from repro.video.content import ContentModel
 
 
 # ---------------------------------------------------------------------------
@@ -854,6 +855,7 @@ class ConcurrentExecutor:
         fastpath: bool = True,
         metrics=None,
         admission: Optional[AdmissionConfig] = None,
+        content: Optional[Callable[[str], "ContentModel"]] = None,
     ):
         if core not in ("heap", "reference"):
             raise QueryError(
@@ -913,6 +915,10 @@ class ConcurrentExecutor:
         #: attaches the store's registry unless ``REPRO_OBS_METRICS=0``.
         self.metrics = metrics
         self._engines: Dict[str, "QueryEngine"] = dict(engines or {})
+        #: Where engines built here get their dataset's content model
+        #: (``VStore.content``, so a store's clip memo is shared); ``None``
+        #: gives each engine a fresh model.
+        self._content = content
         self._sessions: List[QuerySession] = []
         #: Per-tenant shared state, created lazily at admission; the
         #: anonymous tenant ``""`` holds every untenanted session.
@@ -944,6 +950,7 @@ class ConcurrentExecutor:
             self._engines[dataset] = QueryEngine(
                 self.config, self.library, dataset, codec=self.codec,
                 cache=self.cache,
+                content=self._content(dataset) if self._content else None,
             )
         return self._engines[dataset]
 

@@ -75,8 +75,14 @@ def _unescape_label(text: str) -> str:
 
 
 def _fmt_key(fmt: StorageFormat) -> str:
-    return (f"{_escape_label(fmt.fidelity.label)} "
-            f"{_escape_label(fmt.coding.label)}")
+    # The escaped key is a pure function of the (immutable) format, so it
+    # is computed once and cached on the format object itself.
+    key = fmt.__dict__.get("_segment_key")
+    if key is None:
+        key = (f"{_escape_label(fmt.fidelity.label)} "
+               f"{_escape_label(fmt.coding.label)}")
+        object.__setattr__(fmt, "_segment_key", key)
+    return key
 
 
 def _parse_fmt(text: str) -> StorageFormat:

@@ -46,11 +46,21 @@ class Coding:
         if self.raw:
             if self.speed_step is not None or self.keyframe_interval is not None:
                 raise KnobError("raw coding takes no speed step / keyframe interval")
-            return
-        if self.speed_step not in SPEED_STEPS:
+        elif self.speed_step not in SPEED_STEPS:
             raise KnobError(f"illegal speed step: {self.speed_step!r}")
-        if self.keyframe_interval not in KEYFRAME_INTERVALS:
+        elif self.keyframe_interval not in KEYFRAME_INTERVALS:
             raise KnobError(f"illegal keyframe interval: {self.keyframe_interval!r}")
+        # Hash once: the field-tuple hash a frozen dataclass would compute.
+        object.__setattr__(self, "_hash", hash(
+            (self.speed_step, self.keyframe_interval, self.raw)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through __init__ so an unpickled copy recomputes its hash.
+        return (self.__class__,
+                (self.speed_step, self.keyframe_interval, self.raw))
 
     @property
     def speed_idx(self) -> int:

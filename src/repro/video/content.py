@@ -17,6 +17,7 @@ any clip can be regenerated bit-identically at any point of the pipeline.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -30,6 +31,12 @@ WINDOW_SECONDS = 64.0
 
 #: Colors a vehicle may have (the Color operator searches for one of these).
 VEHICLE_COLORS: Tuple[str, ...] = ("white", "black", "silver", "red", "blue")
+
+#: Clips one :class:`ContentModel` keeps memoized (least recently used
+#: first out).  Big enough to span the reuse distance of one fleet's plans
+#: across its aliased cameras (about 16-21 clips), small enough that the
+#: memo adds little to the resident set.
+CLIP_MEMO_ENTRIES = 32
 
 #: Characters a synthetic license plate is made of.
 _PLATE_ALPHABET = "ABCDEFGHJKLMNPRSTUVWXYZ0123456789"
@@ -115,12 +122,22 @@ class FrameTruth:
 
 
 class ContentModel:
-    """Deterministic scene generator for one dataset."""
+    """Deterministic scene generator for one dataset.
+
+    Besides the per-window track cache, a model memoizes its most recent
+    :data:`CLIP_MEMO_ENTRIES` clips, keyed by ``(t0, duration, fps)``.
+    Clips are deterministic in that key and read-only, so a memoized clip
+    is indistinguishable from a freshly built one.  The memo lives and
+    dies with the model; a :class:`~repro.core.store.VStore` owns one
+    model per dataset, so no clip outlives the store that built it.
+    """
 
     def __init__(self, name: str, params: ContentParams):
         self.name = name
         self.params = params
         self._window_cache: Dict[int, List[Track]] = {}
+        self._clips: "OrderedDict[Tuple[float, float, int], ClipTruth]" = (
+            OrderedDict())
 
     # -- track generation ----------------------------------------------------
 
@@ -216,7 +233,16 @@ class ContentModel:
 
     def clip(self, t0: float, duration: float, fps: int = INGEST_FPS) -> "ClipTruth":
         """Materialize ground truth for a clip (used by profiler and queries)."""
-        return ClipTruth.build(self, t0, duration, fps)
+        key = (t0, duration, fps)
+        clip = self._clips.get(key)
+        if clip is not None:
+            self._clips.move_to_end(key)
+            return clip
+        clip = ClipTruth.build(self, t0, duration, fps)
+        self._clips[key] = clip
+        if len(self._clips) > CLIP_MEMO_ENTRIES:
+            self._clips.popitem(last=False)
+        return clip
 
 
 class ClipTruth:
@@ -224,7 +250,9 @@ class ClipTruth:
 
     Holds, for each of ``n`` frames and each of the clip's tracks, visibility
     and position, plus the per-frame activity signal.  Operators evaluate
-    their detection models against these arrays.
+    their detection models against these arrays.  A clip is immutable (its
+    arrays are read-only and its tracks a tuple), because
+    :meth:`ContentModel.clip` hands the same object to every caller.
     """
 
     def __init__(
@@ -240,11 +268,13 @@ class ClipTruth:
         moving: np.ndarray,
         activity: np.ndarray,
     ):
+        for array in (times, visible, xs, ys, moving, activity):
+            array.flags.writeable = False
         self.dataset = dataset
         self.t0 = t0
         self.fps = fps
         self.times = times  # (n,)
-        self.tracks = list(tracks)
+        self.tracks = tuple(tracks)
         self.visible = visible  # (n_tracks, n) bool
         self.xs = xs  # (n_tracks, n) normalized x, NaN when not alive
         self.ys = ys

@@ -64,9 +64,9 @@ SAMPLING_RATES: Tuple[Fraction, ...] = (
 INGEST_FPS = 30
 
 
-def _index(seq: Sequence, value, knob: str) -> int:
+def _index(seq: Tuple, value, knob: str) -> int:
     try:
-        return list(seq).index(value)
+        return seq.index(value)
     except ValueError:
         raise KnobError(f"illegal value {value!r} for knob {knob!r}") from None
 
@@ -76,9 +76,17 @@ def sampling_from_str(text: str) -> Fraction:
     return Fraction(text)
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True, eq=False)
 class Fidelity:
-    """One fidelity option: a value for each of the four fidelity knobs."""
+    """One fidelity option: a value for each of the four fidelity knobs.
+
+    Fidelities are hot dictionary keys during configuration, so the knob
+    indices, the hash, ``fps`` and ``label`` are computed once here.  The
+    cached hash is the hash of the field tuple (what a plain frozen
+    dataclass computes), so set and dict ordering are unchanged; equality
+    compares the knob indices, which is equivalent to comparing fields
+    because every field must equal one value of its knob's domain.
+    """
 
     quality: str
     resolution: str
@@ -86,28 +94,51 @@ class Fidelity:
     crop: float
 
     def __post_init__(self) -> None:
-        _index(QUALITIES, self.quality, "quality")
-        _index(RESOLUTION_ORDER, self.resolution, "resolution")
-        _index(SAMPLING_RATES, self.sampling, "sampling")
-        _index(CROP_FACTORS, self.crop, "crop")
+        idx = (
+            _index(QUALITIES, self.quality, "quality"),
+            _index(RESOLUTION_ORDER, self.resolution, "resolution"),
+            _index(SAMPLING_RATES, self.sampling, "sampling"),
+            _index(CROP_FACTORS, self.crop, "crop"),
+        )
+        put = object.__setattr__  # the dataclass is frozen
+        put(self, "_idx", idx)
+        put(self, "_hash",
+            hash((self.quality, self.resolution, self.sampling, self.crop)))
+        put(self, "_fps", float(INGEST_FPS * self.sampling))
+        put(self, "_label", f"{self.quality}-{self.resolution}-"
+                            f"{self.sampling}-{int(self.crop * 100)}%")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._idx == other._idx
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through __init__ so an unpickled copy recomputes its
+        # hash (string hashes differ between interpreter processes).
+        return (self.__class__,
+                (self.quality, self.resolution, self.sampling, self.crop))
 
     # -- knob index helpers (poorest value has index 0) --------------------
 
     @property
     def quality_idx(self) -> int:
-        return QUALITIES.index(self.quality)
+        return self._idx[0]
 
     @property
     def resolution_idx(self) -> int:
-        return RESOLUTION_ORDER.index(self.resolution)
+        return self._idx[1]
 
     @property
     def sampling_idx(self) -> int:
-        return SAMPLING_RATES.index(self.sampling)
+        return self._idx[2]
 
     @property
     def crop_idx(self) -> int:
-        return CROP_FACTORS.index(self.crop)
+        return self._idx[3]
 
     # -- derived quantities -------------------------------------------------
 
@@ -126,7 +157,7 @@ class Fidelity:
     @property
     def fps(self) -> float:
         """Frames per second after sampling the 30 fps ingest stream."""
-        return float(INGEST_FPS * self.sampling)
+        return self._fps
 
     @property
     def crf(self) -> int:
@@ -135,12 +166,9 @@ class Fidelity:
 
     # -- partial order -------------------------------------------------------
 
-    def _knob_indices(self) -> Tuple[int, int, int, int]:
-        return (self.quality_idx, self.resolution_idx, self.sampling_idx, self.crop_idx)
-
     def richer_equal(self, other: "Fidelity") -> bool:
         """True iff self is richer than or equal to ``other`` on every knob."""
-        return all(a >= b for a, b in zip(self._knob_indices(), other._knob_indices()))
+        return all(a >= b for a, b in zip(self._idx, other._idx))
 
     def richer_than(self, other: "Fidelity") -> bool:
         """Strict richer-than: richer-or-equal everywhere, strictly on one knob."""
@@ -166,10 +194,7 @@ class Fidelity:
     @property
     def label(self) -> str:
         """Paper-style label, e.g. ``best-720p-1-100%``."""
-        return (
-            f"{self.quality}-{self.resolution}-{self.sampling}"
-            f"-{int(self.crop * 100)}%"
-        )
+        return self._label
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.label

@@ -34,6 +34,18 @@ class StorageFormat:
     fidelity: Fidelity
     coding: Coding
 
+    def __post_init__(self) -> None:
+        # Hash once: the field-tuple hash a frozen dataclass would compute.
+        object.__setattr__(self, "_hash", hash((self.fidelity, self.coding)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through __init__ so an unpickled copy recomputes its hash
+        # (and drops any per-object caches, such as the segment-store key).
+        return (self.__class__, (self.fidelity, self.coding))
+
     @property
     def is_raw(self) -> bool:
         """True when this version stores raw frames (coding bypass)."""

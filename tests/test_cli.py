@@ -109,3 +109,46 @@ def test_trace_export_command(tmp_path, capsys):
 def test_unknown_command_fails():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_serve_on_empty_store_is_one_typed_line(tmp_path, capsys):
+    # Nothing was ingested: the read path raises StorageError, which the
+    # CLI reports as one line naming the command and the error class.
+    code = main(["serve", "--operators", "Motion,License,OCR",
+                 "--workdir", str(tmp_path / "empty")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("repro serve: StorageError: no stored segment")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, prefix, code", [
+    (["configure", "--operators", "Motion", "--ingest-cores", "1e-6"],
+     "repro configure: BudgetError: ", 4),
+    (["configure", "--operators", "Frobnicate"],
+     "repro configure: QueryError: ", 5),
+])
+def test_library_errors_map_to_family_exit_codes(argv, prefix, code, capsys):
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1
+
+
+def test_every_error_family_is_mapped():
+    from repro import errors
+    from repro.cli import EXIT_CODES, exit_code
+
+    assert exit_code(errors.ReplicaUnavailableError("x")) == 3
+    assert exit_code(errors.ShardFailedError("x")) == 3
+    assert exit_code(errors.VStoreError("x")) == 1
+    # Every direct VStoreError subclass is mapped, none to 0/1/2.
+    families = {cls for cls in vars(errors).values()
+                if isinstance(cls, type)
+                and cls.__bases__ == (errors.VStoreError,)}
+    assert families == {cls for cls, _ in EXIT_CODES}
+    assert all(code >= 3 for _, code in EXIT_CODES)
+    # Storage, configuration, query and input errors stay distinguishable.
+    assert len({exit_code(e("x")) for e in (
+        errors.StorageError, errors.ConfigurationError, errors.QueryError,
+        errors.KnobError)}) == 4
