@@ -17,12 +17,17 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from typing import Dict, List
 
 import pytest
 
 from repro.core.config import derive_configuration
 from repro.operators.library import default_library
+
+# The parity oracles (tests/oracles) back several benchmark assertions.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "tests"))
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
 RESULTS_PATH = os.path.join(OUT_DIR, "RESULTS.md")

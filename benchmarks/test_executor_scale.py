@@ -13,15 +13,12 @@ Python.  This module measures the result and pins it:
 * the full 16-512 x 1-8 grid runs in seconds (previously minutes), with
   real events/sec recorded per cell in BENCH.json and RESULTS.md;
 * the acceptance cell — 256 queries on 4 shards — must run **>= 10x**
-  faster under the heap core than under the (kept, bit-identical)
-  reference loop;
+  faster under the heap core than under the bit-identical reference
+  loop (the ``oracles.executor`` test oracle);
 * 1024- and 4096-query FIFO fleets on 4 shards qualify for the fast
   path; the 4096 cell must sustain **>= 600k events/s** (3x the PR 5
   ceiling) under a hard 10 s wall budget, bit-identical to the general
   heap core;
-* independent fleets fan out across worker processes
-  (``execute_many(parallel=N)``); with >= 4 host cores the aggregate
-  scheduling throughput must reach **>= 2.5x** the serial run's;
 * a 64-query smoke cell carries a hard wall-clock budget so CI catches a
   scheduler regression the simulated clock cannot see — and the CI job
   gates it through ``python -m repro bench-diff`` against the committed
@@ -32,16 +29,12 @@ per-stream plans are identical across queries, so planning cost is paid
 8 times, not 512, and the measured wall-clock is the executor core.
 """
 
-import os
-from time import perf_counter
-
 import pytest
 
 from repro.codec.decoder import DecoderPool
 from repro.core.store import VStore
 from repro.operators.library import default_library
 from repro.query.cascade import QUERY_A
-from repro.query.parallel import merge_reports
 from repro.query.scheduler import (
     FairSharePolicy,
     FIFOPolicy,
@@ -49,6 +42,8 @@ from repro.query.scheduler import (
 )
 from repro.storage.disk import DiskBandwidthPool
 from repro.units import GB
+
+from oracles.executor import run as run_on
 
 SHARD_COUNTS = (1, 4, 8)
 QUERY_COUNTS = (16, 64, 256, 512)
@@ -69,14 +64,6 @@ MIN_SPEEDUP = 10.0
 FASTPATH_QUERY_COUNTS = (1024, 4096)
 FASTPATH_MIN_EPS = 600_000.0
 FASTPATH_WALL_BUDGET = 10.0
-
-#: Acceptance: multi-core fleet execution.  With at least this many host
-#: cores, ``parallel=4`` must deliver this aggregate-throughput multiple
-#: over the serial run of the same independent fleets.
-PARALLEL_WORKERS = 4
-PARALLEL_MIN_SPEEDUP = 2.5
-PARALLEL_FLEETS = 8
-PARALLEL_FLEET_QUERIES = 2048
 
 #: CI perf-smoke budget: the heap core must clear 64 queries x 4 shards
 #: (~1000 scheduled tasks) in this much real time on any CI worker.
@@ -138,9 +125,12 @@ def fleet(tmp_path_factory):
         store.close()
 
 
-def _run_fleet(store, plans, n_queries, core, policy=None, fastpath=True,
+def _run_fleet(store, plans, n_queries, core=None, policy=None,
                **executor_kwargs):
     """Admit and run one fleet; returns the executor's stats.
+
+    ``core`` forces an oracle core (``"heap"`` or ``"reference"``);
+    ``None`` runs the production dispatch.
 
     ``executor_kwargs`` pass through to ``store.executor`` — the smoke
     A/B uses ``metrics=None`` / ``metrics=store.metrics`` to force the
@@ -151,15 +141,13 @@ def _run_fleet(store, plans, n_queries, core, policy=None, fastpath=True,
         disk_pool=DiskBandwidthPool(1),  # one I/O channel per shard
         decoder_pool=DecoderPool(2),
         operator_pool=OperatorContextPool(4),
-        core=core,
-        fastpath=fastpath,
         **executor_kwargs,
     )
     for i in range(n_queries):
         stream = f"cam{i % N_STREAMS:02d}"
         ex.admit(QUERY_A, "jackson", 0.9, 0.0, SPAN, stream=stream,
                  plan=plans[stream])
-    ex.run()
+    run_on(ex, core)
     return ex.stats()
 
 
@@ -169,7 +157,7 @@ def test_executor_scale_sweep(record, bench_metrics, fleet):
     for shards in SHARD_COUNTS:
         store, plans = fleet(shards)
         for n in QUERY_COUNTS:
-            stats = _run_fleet(store, plans, n, "heap")
+            stats = _run_fleet(store, plans, n)
             cells[(shards, n)] = stats
             bench_metrics(
                 f"executor_scale/q{n}_s{shards}_heap",
@@ -272,17 +260,15 @@ def test_fastpath_fleet_scale(record, bench_metrics, fleet):
     lines = [f"{'queries':>8} {'core':>9} {'wall':>9} {'events/s':>10}"]
     final_eps = 0.0
     for n in FASTPATH_QUERY_COUNTS:
-        stats = _run_fleet(store, plans, n, "heap", policy=FIFOPolicy())
+        stats = _run_fleet(store, plans, n, policy=FIFOPolicy())
         for _ in range(2):  # best of 3: CI workers are noisy
-            candidate = _run_fleet(store, plans, n, "heap",
-                                   policy=FIFOPolicy())
+            candidate = _run_fleet(store, plans, n, policy=FIFOPolicy())
             if candidate.wall_seconds < stats.wall_seconds:
                 stats = candidate
         assert stats.core == "fastpath"  # the dispatch must qualify
         # Bit-parity at scale: the general (batch-drained) heap core
         # produces the same simulation, only slower.
-        general = _run_fleet(store, plans, n, "heap", policy=FIFOPolicy(),
-                             fastpath=False)
+        general = _run_fleet(store, plans, n, "heap", policy=FIFOPolicy())
         assert general.core == "heap"
         assert general.makespan == stats.makespan
         assert general.busy_seconds == stats.busy_seconds
@@ -307,74 +293,6 @@ def test_fastpath_fleet_scale(record, bench_metrics, fleet):
            "x 4 shards (bit-identical to the general heap core)",
            "\n".join(lines))
     assert final_eps >= FASTPATH_MIN_EPS
-
-
-def test_parallel_fleet_throughput(record, bench_metrics, fleet):
-    """Multi-core fleet execution: independent fleets across workers.
-
-    Eight independent 2048-query fleets run serially (``parallel=1``)
-    and across four forked workers; the per-fleet reports must be
-    bit-equal, and on a host with >= 4 cores the aggregate scheduling
-    throughput (total events over elapsed wall) must be >= 2.5x.  On
-    smaller hosts the cell still records honest measurements — there is
-    no parallelism to find, so only equality is asserted.
-    """
-    store, plans = fleet(4)
-    specs = []
-    for i in range(PARALLEL_FLEET_QUERIES):
-        stream = f"cam{i % N_STREAMS:02d}"
-        specs.append(dict(query=QUERY_A, dataset="jackson", accuracy=0.9,
-                          t0=0.0, t1=SPAN, stream=stream,
-                          plan=plans[stream]))
-    fleets = [specs] * PARALLEL_FLEETS
-    kwargs = dict(policy=FIFOPolicy(), disk_pool=DiskBandwidthPool(1),
-                  decoder_pool=DecoderPool(2),
-                  operator_pool=OperatorContextPool(4))
-
-    t0 = perf_counter()
-    serial = store.execute_many(fleets, parallel=1, **kwargs)
-    serial_wall = perf_counter() - t0
-    t0 = perf_counter()
-    parallel = store.execute_many(fleets, parallel=PARALLEL_WORKERS,
-                                  **kwargs)
-    parallel_wall = perf_counter() - t0
-
-    for s, p in zip(serial, parallel):  # worker isolation is bit-exact
-        assert s.makespan == p.makespan
-        assert s.rows == p.rows
-        assert s.events == p.events
-
-    merged = merge_reports(parallel, wall_seconds=parallel_wall)
-    speedup = serial_wall / parallel_wall
-    cpus = os.cpu_count() or 1
-    bench_metrics(
-        "executor_scale/parallel_fleets",
-        core=serial[0].core,
-        shards=4,
-        queries=PARALLEL_FLEET_QUERIES,
-        fleets=PARALLEL_FLEETS,
-        queries_per_fleet=PARALLEL_FLEET_QUERIES,
-        workers=PARALLEL_WORKERS,
-        host_cpus=cpus,
-        serial_wall_seconds=round(serial_wall, 4),
-        parallel_wall_seconds=round(parallel_wall, 4),
-        aggregate_events=merged.events,
-        aggregate_events_per_second=round(merged.events_per_second),
-        speedup=round(speedup, 2),
-    )
-    record(
-        "Executor scale — multi-core fleet execution "
-        f"({PARALLEL_FLEETS} independent fleets x "
-        f"{PARALLEL_FLEET_QUERIES} queries, {PARALLEL_WORKERS} workers, "
-        f"{cpus} host cores)",
-        f"serial:   {serial_wall:8.3f}s elapsed\n"
-        f"parallel: {parallel_wall:8.3f}s elapsed "
-        f"({merged.events_per_second:,.0f} aggregate events/s)\n"
-        f"speedup:  {speedup:8.2f}x "
-        f"(floor {PARALLEL_MIN_SPEEDUP}x when >= {PARALLEL_WORKERS} cores)",
-    )
-    if cpus >= PARALLEL_WORKERS:
-        assert speedup >= PARALLEL_MIN_SPEEDUP
 
 
 def test_perf_smoke_64_queries(bench_metrics, fleet):
@@ -404,7 +322,7 @@ def test_perf_smoke_64_queries(bench_metrics, fleet):
     for rep in range(SMOKE_REPEATS):
         sides = [(detached, None), (attached, store.metrics)]
         for runs, registry in sides if rep % 2 == 0 else reversed(sides):
-            runs.append(_run_fleet(store, plans, SMOKE_QUERIES, "heap",
+            runs.append(_run_fleet(store, plans, SMOKE_QUERIES,
                                    metrics=registry))
     for cell, runs, registry in ((SMOKE_CELL_DETACHED, detached, "detached"),
                                  (SMOKE_CELL, attached, "attached")):

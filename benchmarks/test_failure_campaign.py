@@ -27,6 +27,8 @@ from repro.core.store import VStore
 from repro.operators.library import default_library
 from repro.query.workload import ArrivalSpec, QueryMixEntry, TenantSpec
 
+from oracles.executor import use_core
+
 SHARDS = 4
 REPLICATION = 2
 SEGMENTS_PER_STREAM = 8
@@ -69,8 +71,7 @@ def _fresh_store(tmp_path_factory):
 def _serve_campaign(tmp_path_factory):
     store = _fresh_store(tmp_path_factory)
     report = store.serve(TENANTS, horizon=HORIZON, seed=SEED,
-                         failures=CAMPAIGN, cache=None, metrics=None,
-                         core="heap")
+                         failures=CAMPAIGN, cache=None, metrics=None)
     store.close()
     return report
 
@@ -129,16 +130,17 @@ def test_chaos_smoke_rebuild(bench_metrics, tmp_path_factory):
 
 
 def test_campaign_cores_agree(tmp_path_factory):
-    """The heap and reference cores serve the campaign identically."""
+    """The heap core and the reference oracle serve the campaign
+    identically."""
     store = _fresh_store(tmp_path_factory)
-    heap = store.serve(TENANTS, horizon=HORIZON, seed=SEED,
-                       failures=CAMPAIGN, cache=None, metrics=None,
-                       core="heap")
+    with use_core("heap"):
+        heap = store.serve(TENANTS, horizon=HORIZON, seed=SEED,
+                           failures=CAMPAIGN, cache=None, metrics=None)
     store.close()
     store = _fresh_store(tmp_path_factory)
-    ref = store.serve(TENANTS, horizon=HORIZON, seed=SEED,
-                      failures=CAMPAIGN, cache=None, metrics=None,
-                      core="reference")
+    with use_core("reference"):
+        ref = store.serve(TENANTS, horizon=HORIZON, seed=SEED,
+                          failures=CAMPAIGN, cache=None, metrics=None)
     store.close()
     assert _outcome_key(heap) == _outcome_key(ref)
     assert heap.stats.makespan == pytest.approx(ref.stats.makespan)

@@ -2,11 +2,11 @@
 
 For 5/10/15-consumer workloads, runs heuristic, distance and (where the
 CF count is affordable) exhaustive planning twice — once on the legacy
-per-call scalar surfaces (``use_table=False``) and once on the shared
-:class:`~repro.codec.tables.ProfileTable` — and compares wall time,
-codec-surface evaluation counts and profiler invocations.  Plans must be
-identical in both modes; the vectorized plane must cut per-call surface
-evaluations by at least 5x on the 10-consumer workload.
+per-call scalar surfaces (the ``oracles.profiler`` test oracle) and once
+on the shared :class:`~repro.codec.tables.ProfileTable` — and compares
+wall time, codec-surface evaluation counts and profiler invocations.
+Plans must be identical in both modes; the vectorized plane must cut
+per-call surface evaluations by at least 5x on the 10-consumer workload.
 
 The numbers land in ``benchmarks/RESULTS.md`` so future PRs have a perf
 trajectory to regress against.
@@ -24,6 +24,8 @@ from repro.core.consumption import ConsumptionPlanner
 from repro.operators.library import Consumer
 from repro.profiler.coding_profiler import CodingProfiler
 from repro.profiler.profiler import OperatorProfiler
+
+from oracles.profiler import ScalarCodingProfiler
 
 #: (operator, profiling dataset) in workload order; consumers are taken
 #: in accuracy-major order below, so prefixes mix fast and slow operators.
@@ -53,7 +55,8 @@ def _measure(method, decisions, use_table, cold=True, **kwargs):
         clear_profile_table_cache()
     scalar0, grid0 = SURFACE_CALLS.scalar, SURFACE_CALLS.grid
     t0 = time.perf_counter()
-    profiler = CodingProfiler(activity=0.6, use_table=use_table)
+    profiler = (CodingProfiler if use_table else ScalarCodingProfiler)(
+        activity=0.6)
     plan = getattr(StorageFormatPlanner(profiler), method)(
         decisions, **kwargs
     )

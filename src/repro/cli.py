@@ -178,7 +178,7 @@ def cmd_execute(args: argparse.Namespace) -> int:
         for run in range(max(1, args.repeat)):
             result = store.execute(args.query, dataset=args.dataset,
                                    accuracy=args.accuracy,
-                                   t0=args.t0, t1=args.t1, core=args.core,
+                                   t0=args.t0, t1=args.t1,
                                    trace=args.trace)
             tag = "" if args.repeat <= 1 else f" (run {run + 1})"
             print(f"executed query {result.query} over "
@@ -236,7 +236,7 @@ def _run_observed_fleet(store: VStore, args: argparse.Namespace) -> None:
     spec = {"query": args.query, "dataset": args.dataset,
             "accuracy": args.accuracy, "t0": args.t0, "t1": args.t1}
     store.execute_many([dict(spec) for _ in range(args.queries)],
-                       core=args.core, trace=True)
+                       trace=True)
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -299,7 +299,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         store.configure()
         report = store.serve(tenants, horizon=args.horizon, seed=args.seed,
                              admission=admission, failures=args.failures,
-                             policy=policies[args.policy](), core=args.core)
+                             policy=policies[args.policy]())
         print(format_slo_table(report.slo))
         if report.availability is not None:
             from repro.analysis.availability import format_availability_table
@@ -375,10 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeat", type=int, default=1,
                    help="run the query this many times (shows warm-cache "
                         "speedup with --cache-mb)")
-    p.add_argument("--core", choices=("heap", "reference"), default="heap",
-                   help="executor core: the O(log n) event-heap engine "
-                        "(default) or the legacy reference loop — results "
-                        "are bit-identical, only wall-clock differs")
     p.add_argument("--trace", action=argparse.BooleanOptionalAction,
                    default=None,
                    help="force per-event trace recording on (--trace) or "
@@ -448,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="fifo",
                    help="resource scheduling policy inside the executor")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--core", choices=("heap", "reference"), default="heap")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("datasets", help="list the benchmark streams")
@@ -485,8 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--queries", type=int, default=4,
                        help="fleet width: how many copies of the query run "
                             "concurrently (default: 4)")
-        p.add_argument("--core", choices=("heap", "reference"),
-                       default="heap")
         if name == "trace":
             p.add_argument("--outdir", default="obs_out",
                            help="directory the export bundle is written "

@@ -42,7 +42,7 @@ from repro.errors import BudgetError, ConfigurationError
 from repro.ingest.budget import IngestBudget
 from repro.operators.library import Consumer
 from repro.profiler.coding_profiler import CodingProfiler
-from repro.video.coding import Coding, RAW, SPEED_STEPS, coding_space
+from repro.video.coding import Coding, RAW, SPEED_STEPS
 from repro.video.fidelity import (
     CROP_FACTORS,
     Fidelity,
@@ -128,19 +128,6 @@ class CoalescePlan:
         raise ConfigurationError(f"consumer {consumer} has no storage format")
 
 
-def _storage_rank(profiler: CodingProfiler, fidelity: Fidelity) -> List[Coding]:
-    """Encoded coding options ordered by on-disk size, cheapest first."""
-    if profiler.table is not None:
-        return list(profiler.table.storage_rank(fidelity))
-    options = list(coding_space(include_raw=False))
-    options.sort(
-        key=lambda c: profiler.codec.encoded_bytes_per_second(
-            fidelity, c, profiler.activity
-        )
-    )
-    return options
-
-
 def coding_is_adequate(
     profiler: CodingProfiler,
     fmt: StorageFormat,
@@ -166,7 +153,7 @@ def cheapest_adequate_coding(
     encoded option is too slow, the coding bypass (raw frames) is chosen —
     exactly the rule of Section 4.3.
     """
-    for coding in _storage_rank(profiler, fidelity):
+    for coding in profiler.table.storage_rank(fidelity):
         if coding_is_adequate(profiler, StorageFormat(fidelity, coding), demands):
             return coding
     return RAW
@@ -280,7 +267,7 @@ class StorageFormatPlanner:
     def _cheapest_adequate_coding(
         self, fidelity: Fidelity, demands: Sequence[Demand]
     ) -> Coding:
-        for coding in _storage_rank(self.profiler, fidelity):
+        for coding in self.profiler.table.storage_rank(fidelity):
             if self._adequate(StorageFormat(fidelity, coding), demands):
                 return coding
         return RAW

@@ -50,7 +50,7 @@ from repro.core.config import (
 )
 from repro.core.consumption import ConsumptionDecision, ConsumptionPlanner
 from repro.core.erosion import ErosionPlanner
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReplicaUnavailableError
 from repro.ingest.budget import IngestBudget
 from repro.operators.library import Consumer, OperatorLibrary
 from repro.profiler.coding_profiler import CodingProfiler
@@ -409,6 +409,7 @@ def reencode_jobs(
     *,
     epoch: int,
     codec: CodecModel = DEFAULT_CODEC,
+    skipped: Optional[List[Tuple[str, int]]] = None,
 ) -> List["BackgroundJob"]:  # noqa: F821 - imported in the function body
     """One re-encode job per new format: read golden, decode, encode, write.
 
@@ -422,15 +423,24 @@ def reencode_jobs(
     in-flight ``epoch``.  The write is charged to the *source* segment's
     shard — a locality approximation; the placement policy assigns the
     committed segment's real shard at put time.
+
+    A source segment whose every replica was lost to shard failures has
+    nothing to read: it is left out of every job, and its
+    ``(stream, index)`` is appended to ``skipped`` when a list is given.
     """
     from repro.query.scheduler import BackgroundJob, ResourceTask
 
     jobs: List[BackgroundJob] = []
-    indices = store.indices(stream, source)
+    metas = []
+    for index in store.indices(stream, source) if targets else ():
+        try:
+            metas.append(store.meta(stream, source, index))
+        except ReplicaUnavailableError:
+            if skipped is not None:
+                skipped.append((stream, index))
     for target in targets:
         tasks: List[ResourceTask] = []
-        for index in indices:
-            meta = store.meta(stream, source, index)
+        for meta in metas:
             disk = _shard_disk(store, meta.shard)
             tasks.append(ResourceTask(
                 kind="read", resource="disk", units=1,
@@ -482,7 +492,9 @@ def retirement_jobs(
 
     Deletes are metadata operations: each costs one request overhead on
     the segment's shard channel, and the ``on_done`` hook performs the
-    actual :meth:`SegmentStore.delete` at the simulated instant.
+    actual :meth:`SegmentStore.delete` at the simulated instant.  A
+    segment whose every replica was lost to shard failures has no shard
+    to charge and stays recorded as lost, like any other lost segment.
     """
     from repro.query.scheduler import BackgroundJob, ResourceTask
 
@@ -490,7 +502,10 @@ def retirement_jobs(
     for fmt in retired:
         tasks: List[ResourceTask] = []
         for index in store.indices(stream, fmt):
-            shard = store.shard_of(stream, fmt, index)
+            try:
+                shard = store.shard_of(stream, fmt, index)
+            except ReplicaUnavailableError:
+                continue
             disk = _shard_disk(store, shard)
             tasks.append(ResourceTask(
                 kind="delete", resource="disk", units=1,
@@ -613,6 +628,9 @@ class EvolutionReport:
     stats: object  # ExecutorStats of the shared run
     reencoded_segments: int
     retired_segments: int
+    #: ``(stream, index)`` of golden segments lost to shard failures,
+    #: which no new format could be re-encoded from.
+    skipped_segments: Tuple[Tuple[str, int], ...] = ()
 
     @property
     def foreground(self) -> List:

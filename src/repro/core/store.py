@@ -191,16 +191,6 @@ class VStore:
         self.segments.cache = self.cache
         self._pipelines.clear()
 
-    def reopen_after_fork(self) -> None:
-        """Re-handle the backing log in a forked worker process.
-
-        Forked children share the parent's file offset; a worker running
-        queries must call this once before reading (see
-        :mod:`repro.query.parallel`, which does so automatically).
-        """
-        if self._kv is not None:
-            self._kv.reopen_after_fork()
-
     def _check_open(self) -> None:
         if self._closed:
             raise StorageError(
@@ -318,20 +308,18 @@ class VStore:
         )
 
     def execute(self, query: str, dataset: str, accuracy: float,
-                t0: float, t1: float, core: str = "heap",
+                t0: float, t1: float,
                 trace: Optional[bool] = None) -> ExecutionResult:
         """Actually run a query over stored segments.
 
-        ``core`` picks the executor engine: the O(log n) ``"heap"`` event
-        loop (default) or the legacy ``"reference"`` rescan loop — the
-        two produce bit-identical results.  ``trace`` forces per-event
-        trace recording on or off (``None`` = automatic by fleet size).
+        ``trace`` forces per-event trace recording on or off (``None`` =
+        automatic by fleet size).
         """
         self._check_open()
         if self.segments is None:
             raise QueryError("execution requires a workdir-backed store")
         return self.engine(dataset).execute(
-            cascade_for(query), accuracy, self.segments, t0, t1, core=core,
+            cascade_for(query), accuracy, self.segments, t0, t1,
             trace=trace,
         )
 
@@ -372,7 +360,7 @@ class VStore:
         in-flight set; its per-tenant quotas and weights default to the
         :class:`~repro.query.workload.TenantSpec` fields when left
         unset.  Remaining keyword arguments configure the executor
-        (``policy``, ``core``, pools — see :meth:`executor`).
+        (``policy``, pools — see :meth:`executor`).
 
         ``failures`` injects a failure campaign into the run: a
         :class:`~repro.storage.failures.FailureCampaign`, a sequence of
@@ -508,7 +496,7 @@ class VStore:
                 jobs.extend(rebuild_jobs(self.segments, work))
         return jobs
 
-    def execute_many(self, specs, parallel: Optional[int] = None, **kwargs):
+    def execute_many(self, specs, **kwargs):
         """Admit and run many queries at once against shared resources.
 
         Each spec is a mapping with ``query`` ("A"/"B" or a cascade),
@@ -516,23 +504,7 @@ class VStore:
         ``stream``, ``contexts`` and ``deadline`` admission knobs.
         Remaining keyword arguments configure the executor (see
         :meth:`executor`); outcomes come back in admission order.
-
-        With ``parallel=N``, ``specs`` is instead a sequence of
-        *independent fleets* (each a sequence of specs as above); the
-        fleets are partitioned across ``N`` forked worker processes,
-        each fleet on a fresh ``SimClock`` and without a cache plane,
-        and the per-fleet
-        :class:`~repro.analysis.concurrency.ConcurrencyReport`\\ s come
-        back in fleet order (see :mod:`repro.query.parallel` for the
-        isolation rules and :func:`~repro.query.parallel.merge_reports`
-        for the aggregate view).  ``parallel=1`` runs the same fleets
-        in-process with identical semantics — bit-equal reports.
         """
-        if parallel is not None:
-            from repro.query.parallel import run_fleets
-
-            self._check_open()
-            return run_fleets(self, specs, parallel, **kwargs)
         executor = self.executor(**kwargs)
         self._admit_specs(executor, specs)
         outcomes = executor.run()
@@ -641,9 +613,11 @@ class VStore:
         golden = config.plan.golden.fmt
         new_formats = [sf.fmt for sf in replan.added]
         jobs = []
+        skipped: List = []
         for stream in self.segments.streams():
             jobs.extend(reencode_jobs(
-                self.segments, stream, new_formats, golden, epoch=epoch
+                self.segments, stream, new_formats, golden, epoch=epoch,
+                skipped=skipped,
             ))
 
         executor = self.executor(**executor_kwargs)
@@ -687,6 +661,7 @@ class VStore:
                 1 for j in jobs for t in j.tasks if t.kind == "write"
             ),
             retired_segments=retired,
+            skipped_segments=tuple(skipped),
         )
 
     def age_online(self, dataset: str, now_seconds: float,

@@ -3,14 +3,15 @@
 Three modules, one contract:
 
 * :mod:`repro.obs.trace` — the locked task-event schema, its single
-  shared constructor (used by all three executor cores), and the typed
+  shared constructor (used by every executor core and the reference
+  oracle), and the typed
   interval/span views built on the raw stream;
 * :mod:`repro.obs.metrics` — the always-on counters/gauges/log-bucket
   histograms registry the executor, cache plane, sharded disks and
   drift detector feed;
 * :mod:`repro.obs.export` — deterministic Chrome trace-event JSON (for
-  Perfetto / ``chrome://tracing``) and the columnar analytics tier
-  (Parquet when pyarrow exists, JSONL fallback; pandas/DuckDB-ready).
+  Perfetto / ``chrome://tracing``) and the JSONL analytics tier
+  (pandas/DuckDB-ready).
 
 :class:`Observability` is the store-level facade ``VStore.observability()``
 returns: the last run's trace plus the store's registry, with one-call

@@ -12,9 +12,8 @@ Two evidence formats, two audiences:
 * the columnar tier (:func:`write_rows` / :func:`read_rows` /
   :func:`export_run`) persists trace events, per-task intervals,
   utilization timelines, per-query spans, metrics snapshots, and bench
-  history as analytics tables — Parquet via ``pyarrow`` when the host
-  has it, otherwise a deterministic JSONL fallback with identical rows.
-  Both load straight into pandas (:func:`to_dataframe`) or DuckDB
+  history as deterministic JSONL analytics tables.  They load straight
+  into pandas (:func:`to_dataframe`) or DuckDB
   (``SELECT ... FROM 'trace_events.jsonl'`` works as-is), which turns
   cross-PR regression diffing into a query instead of an eyeball pass.
 
@@ -38,7 +37,6 @@ from repro.obs.trace import (
 
 __all__ = [
     "chrome_trace",
-    "columnar_suffix",
     "export_run",
     "bench_history_rows",
     "read_rows",
@@ -46,22 +44,6 @@ __all__ = [
     "write_chrome_trace",
     "write_rows",
 ]
-
-
-def _pyarrow():
-    """The pyarrow module, or None when the host image lacks it."""
-    try:
-        import pyarrow  # noqa: F401
-        import pyarrow.parquet  # noqa: F401
-
-        return pyarrow
-    except ImportError:
-        return None
-
-
-def columnar_suffix() -> str:
-    """Extension the columnar tier writes on this host."""
-    return ".parquet" if _pyarrow() is not None else ".jsonl"
 
 
 # ---------------------------------------------------------------------------
@@ -179,57 +161,34 @@ def write_chrome_trace(
 
 
 def _normalize_rows(rows: Sequence[Mapping[str, object]]) -> List[Dict]:
-    """Uniform key-set across rows (None-filled), keys sorted.
-
-    Parquet needs one schema per table; the JSONL fallback adopts the
-    same normalization so both formats reload identical rows.
-    """
+    """Uniform key-set across rows (None-filled), keys sorted: one
+    schema per table, as columnar readers expect."""
     keys = sorted({k for row in rows for k in row})
     return [{k: row.get(k) for k in keys} for row in rows]
 
 
-def write_rows(path: str, rows: Sequence[Mapping[str, object]]) -> str:
-    """Write one analytics table; format chosen by the path's suffix.
+def _check_suffix(path: str) -> None:
+    if not path.endswith(".jsonl"):
+        raise ValueError(f"unknown columnar suffix on {path!r} "
+                         f"(want .jsonl)")
 
-    ``.parquet`` requires pyarrow (raising if absent — pick the suffix
-    via :func:`columnar_suffix`); ``.jsonl`` writes one sorted-keys JSON
-    object per line, bit-deterministic for a given row sequence.
-    """
-    normalized = _normalize_rows(rows)
-    if path.endswith(".parquet"):
-        pa = _pyarrow()
-        if pa is None:
-            raise RuntimeError(
-                f"cannot write {path}: pyarrow is not installed "
-                f"(use the .jsonl fallback via columnar_suffix())"
-            )
-        columns = sorted({k for row in normalized for k in row})
-        table = pa.table({
-            k: [row.get(k) for row in normalized] for k in columns
-        })
-        pa.parquet.write_table(table, path)
-        return path
-    if path.endswith(".jsonl"):
-        with open(path, "w") as fh:
-            for row in normalized:
-                fh.write(json.dumps(row, sort_keys=True, ensure_ascii=True))
-                fh.write("\n")
-        return path
-    raise ValueError(f"unknown columnar suffix on {path!r} "
-                     f"(want .parquet or .jsonl)")
+
+def write_rows(path: str, rows: Sequence[Mapping[str, object]]) -> str:
+    """Write one analytics table to a ``.jsonl`` path: one sorted-keys
+    JSON object per line, bit-deterministic for a given row sequence."""
+    _check_suffix(path)
+    with open(path, "w") as fh:
+        for row in _normalize_rows(rows):
+            fh.write(json.dumps(row, sort_keys=True, ensure_ascii=True))
+            fh.write("\n")
+    return path
 
 
 def read_rows(path: str) -> List[Dict]:
     """Reload a columnar table written by :func:`write_rows`."""
-    if path.endswith(".parquet"):
-        pa = _pyarrow()
-        if pa is None:
-            raise RuntimeError(f"cannot read {path}: pyarrow not installed")
-        return pa.parquet.read_table(path).to_pylist()
-    if path.endswith(".jsonl"):
-        with open(path) as fh:
-            return [json.loads(line) for line in fh if line.strip()]
-    raise ValueError(f"unknown columnar suffix on {path!r}")
+    _check_suffix(path)
+    with open(path) as fh:
+        return [json.loads(line) for line in fh if line.strip()]
 
 
 def to_dataframe(path_or_rows):
@@ -242,7 +201,7 @@ def to_dataframe(path_or_rows):
     except ImportError as exc:  # pragma: no cover - host-dependent
         raise RuntimeError(
             "to_dataframe requires pandas; install it or query the "
-            ".jsonl/.parquet files with DuckDB directly"
+            ".jsonl files with DuckDB directly"
         ) from exc
     if isinstance(path_or_rows, str):
         return pd.DataFrame(read_rows(path_or_rows))
@@ -274,25 +233,23 @@ def export_run(
     Writes (when the corresponding input is non-empty):
 
     * ``chrome_trace.json`` — the Perfetto-loadable trace;
-    * ``trace_events.*`` — the raw locked-schema event stream;
-    * ``intervals.*`` — per-task intervals with submit/wait;
-    * ``queries.*`` — per-query spans (critical resource, phase split);
-    * ``utilization.*`` — per-resource running/waiting timeline;
-    * ``metrics.*`` — the registry snapshot, flattened;
-    * ``bench_history.*`` — flattened BENCH.json cells.
+    * ``trace_events.jsonl`` — the raw locked-schema event stream;
+    * ``intervals.jsonl`` — per-task intervals with submit/wait;
+    * ``queries.jsonl`` — per-query spans (critical resource, phase split);
+    * ``utilization.jsonl`` — per-resource running/waiting timeline;
+    * ``metrics.jsonl`` — the registry snapshot, flattened;
+    * ``bench_history.jsonl`` — flattened BENCH.json cells.
 
-    Returns ``{table name: written path}``.  ``*`` is ``.parquet`` when
-    pyarrow is available, ``.jsonl`` otherwise — both reload bit-equal
+    Returns ``{table name: written path}``; every table reloads bit-equal
     through :func:`read_rows`.
     """
     os.makedirs(outdir, exist_ok=True)
-    suffix = columnar_suffix()
     written: Dict[str, str] = {}
 
     def _table(name: str, rows: Sequence[Mapping[str, object]]) -> None:
         if rows:
             written[name] = write_rows(
-                os.path.join(outdir, name + suffix), rows
+                os.path.join(outdir, name + ".jsonl"), rows
             )
 
     if events:

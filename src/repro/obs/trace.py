@@ -6,8 +6,9 @@ guarantee was the golden-trace files happening to agree.  Now the schema
 is *locked* here:
 
 * :data:`TRACE_SCHEMA` is the exact key-set of every task lifecycle
-  event; :func:`task_event` is the one constructor all three cores
-  (reference rescan loop, event-heap core, vectorized fast path) call,
+  event; :func:`task_event` is the one constructor every core (the
+  event-heap core, the vectorized fast path, and the reference rescan
+  loop kept as a test oracle) calls,
   so the streams are identical by construction and the cross-core parity
   test (:mod:`tests.test_obs_trace`) can diff key-sets and full streams
   mechanically;

@@ -12,8 +12,9 @@ each codec surface over the whole knob grid, cached per codec/disk/
 activity) instead of per-call scalar arithmetic.  The simulated profiling
 *work* is unchanged: the first query for a format still charges the clock
 for encoding and decoding the sample clip, and the stats still count runs
-vs memoized lookups.  ``use_table=False`` restores the scalar path (the
-perf benchmark compares both).
+vs memoized lookups.  The per-call scalar surfaces the table replaced
+are kept as a test oracle (``tests/oracles``); plans must match it bit
+for bit.
 """
 
 from __future__ import annotations
@@ -81,7 +82,6 @@ class CodingProfiler:
         codec: CodecModel = DEFAULT_CODEC,
         disk: DiskModel = DEFAULT_DISK,
         clock: Optional[SimClock] = None,
-        use_table: bool = True,
     ):
         #: Mean content activity of the profiled stream (size calibration).
         self.activity = activity
@@ -94,13 +94,11 @@ class CodingProfiler:
         self._speed_memo: Dict[
             Tuple[StorageFormat, Optional[Fraction]], float
         ] = {}
-        self._table: Optional[ProfileTable] = (
-            get_profile_table(codec, disk, activity) if use_table else None
-        )
+        self._table: ProfileTable = get_profile_table(codec, disk, activity)
 
     @property
-    def table(self) -> Optional[ProfileTable]:
-        """The shared profile table, or ``None`` on the scalar path."""
+    def table(self) -> ProfileTable:
+        """The shared profile table this profiler answers from."""
         return self._table
 
     def profile(self, fmt: StorageFormat) -> CodingProfile:
@@ -110,18 +108,8 @@ class CodingProfiler:
             self.stats.memo_hits += 1
             return cached
 
-        if self._table is not None:
-            bytes_per_second, ingest_cost, base_speed = \
-                self._table.profile_values(fmt)
-        else:
-            fidelity, coding = fmt.fidelity, fmt.coding
-            bytes_per_second = self.codec.encoded_bytes_per_second(
-                fidelity, coding, self.activity
-            )
-            ingest_cost = self.codec.encode_seconds_per_video_second(
-                fidelity, coding
-            )
-            base_speed = retrieval_speed(fmt, None, self.codec, self.disk)
+        bytes_per_second, ingest_cost, base_speed = \
+            self._table.profile_values(fmt)
 
         # Simulated profiling work: encode the sample clip, then decode it
         # (or read it back for raw formats).
@@ -150,10 +138,8 @@ class CodingProfiler:
             return cached
 
         self.profile(fmt)
-        speed: Optional[float] = None
-        if self._table is not None:
-            speed = self._table.retrieval_speed(fmt, consumer_sampling)
-        if speed is None:  # scalar path, or a query outside the table grid
+        speed = self._table.retrieval_speed(fmt, consumer_sampling)
+        if speed is None:  # a query outside the table grid
             speed = retrieval_speed(
                 fmt, consumer_sampling, self.codec, self.disk
             )

@@ -24,9 +24,11 @@ do — N=1 results are bit-identical by construction.
 
 Scheduling decisions run on the O(log n) event-heap core
 (:mod:`repro.query.eventloop`): per-resource ready heaps with lazy
-priority invalidation, a completion heap, and dependency counters.  The
-original rescan loop survives as ``core="reference"`` — the bit-identical
-parity oracle behind the golden-trace and Hypothesis tests.
+priority invalidation, a completion heap, and dependency counters.
+Fleets that qualify run on the vectorized fast path
+(:mod:`repro.query.fastpath`) instead; the choice is automatic.  The
+original rescan loop is kept as a test oracle (``tests/oracles``), the
+bit-identical reference behind the golden-trace and Hypothesis tests.
 """
 
 from __future__ import annotations
@@ -850,17 +852,11 @@ class ConcurrentExecutor:
         clock: Optional[SimClock] = None,
         engines: Optional[Dict[str, "QueryEngine"]] = None,
         cache: Optional[CachePlane] = None,
-        core: str = "heap",
         trace: Optional[bool] = None,
-        fastpath: bool = True,
         metrics=None,
         admission: Optional[AdmissionConfig] = None,
         content: Optional[Callable[[str], "ContentModel"]] = None,
     ):
-        if core not in ("heap", "reference"):
-            raise QueryError(
-                f"unknown executor core {core!r}; known: heap, reference"
-            )
         self.config = config
         self.library = library
         self.store = store
@@ -868,10 +864,6 @@ class ConcurrentExecutor:
         self.policy = policy or FIFOPolicy()
         self.clock = clock or SimClock()
         self.cache = cache
-        #: Which event loop :meth:`run` uses: ``"heap"`` is the O(log n)
-        #: engine (:mod:`repro.query.eventloop`); ``"reference"`` keeps the
-        #: original rescan loop as the bit-identical parity oracle.
-        self.core = core
         # A sharded store gets one I/O channel pool per disk shard
         # (``disk_pool.channels`` counts channels *per shard*), so
         # retrievals on different shards genuinely overlap; a single-shard
@@ -904,11 +896,7 @@ class ConcurrentExecutor:
         self._trace_mode = trace
         self._tracing = trace if trace is not None else True
         self._events = 0
-        #: Whether :meth:`run` may lower a qualifying fleet onto the
-        #: vectorized fast path (:mod:`repro.query.fastpath`); the
-        #: general event-heap core is used when it does not qualify.
-        self._fastpath_enabled = fastpath
-        self._core_used = core
+        self._core_used = "heap"
         #: Always-on metrics registry
         #: (:class:`~repro.obs.metrics.MetricsRegistry`) the run feeds
         #: aggregates into, or ``None`` to skip — ``VStore.executor()``
@@ -1376,11 +1364,20 @@ class ConcurrentExecutor:
     def run(self) -> List[QueryOutcome]:
         """Run all admitted queries to completion; returns them in admit order.
 
-        Dispatches to the O(log n) event-heap core
-        (:mod:`repro.query.eventloop`) or, when constructed with
-        ``core="reference"``, to the original rescan loop — kept verbatim
-        as the parity oracle the golden-trace and Hypothesis tests replay
-        against.  Both cores are bit-identical in outcomes and traces.
+        A fleet the vectorized fast path accepts
+        (:func:`~repro.query.fastpath.lower_fleet`) runs there; any other
+        runs on the O(log n) event-heap core
+        (:mod:`repro.query.eventloop`).  Both are bit-identical in
+        outcomes and traces.
+        """
+        return self._run()
+
+    def _run(self, loop: Optional[Callable] = None) -> List[QueryOutcome]:
+        """:meth:`run`, with ``loop(self, chains)`` replacing the core choice.
+
+        The seam the parity oracles use to replay a fleet on the heap
+        core (or the reference loop) between the shared prologue and
+        epilogue, even when the fleet qualifies for the fast path.
         """
         if self._ran:
             raise QueryError("executor already ran; create a new one")
@@ -1392,14 +1389,13 @@ class ConcurrentExecutor:
             len(self._sessions) <= TRACE_AUTO_QUERIES
             if self._trace_mode is None else self._trace_mode
         )
-        self._core_used = self.core
         # Chain materialization (and, for qualifying fleets, the fast
         # path's array lowering) happens outside the timed window: the
         # wall-clock below measures the executor core itself, the same
         # methodology the PR 5 scale benchmarks pinned.
         fleet = None
         chains = None
-        if self.core == "heap" and self._fastpath_enabled:
+        if loop is None:
             from repro.query.fastpath import lower_fleet
 
             fleet = lower_fleet(self)  # None when the fleet disqualifies
@@ -1410,15 +1406,13 @@ class ConcurrentExecutor:
             # linear in the task count.
             chains = self._runtime_chains()
         wall0 = perf_counter()
-        if self.core == "reference":
-            self._run_reference(chains)
-        elif fleet is not None:
+        if fleet is not None:
             from repro.query.fastpath import run_fastpath
 
             self._core_used = "fastpath"
             run_fastpath(self, fleet)
         else:
-            self._run_heap(chains)
+            (loop or ConcurrentExecutor._run_heap)(self, chains)
         if self.metrics is not None:
             # Fold aggregates inside the timed window so the CI overhead
             # gate (metrics-on vs metrics-off smoke, diffed at 5%)
@@ -1672,135 +1666,6 @@ class ConcurrentExecutor:
         blocked = list(ready.pending()) + deps.parked()
         if blocked:  # pragma: no cover - guarded by the acyclic dedup graph
             raise self._deadlock_error(blocked)
-        if admission is not None and admission.queued:  # pragma: no cover
-            raise QueryError(
-                f"admission queue stuck with {admission.queued} session(s) "
-                f"and nothing running"
-            )
-
-    def _run_reference(self, chains: Dict[int, List[_RunTask]]) -> None:
-        """The original O(n)-per-event rescan loop — the parity oracle.
-
-        The golden traces were produced by this loop, and the Hypothesis
-        property replays random fleets through both cores.  Do not
-        optimize it: for closed-loop fleets (every arrival at or before
-        the run start, no admission control) the flow below reduces
-        exactly to what PR 2 shipped — ``arrivals`` is empty, ``arrive``
-        is a plain ``submit_next``, and the completion loop is the
-        original ``while running`` — which the golden traces still pin
-        byte-for-byte.  Open-loop fleets interleave future arrivals with
-        completions in simulated-time order, completions winning ties,
-        mirroring the heap core's batching rule.
-        """
-        waiting: List[_Waiting] = []
-        running: List[_Running] = []
-        completed: set = set()  # uids of finished runtime tasks
-        seq = 0
-
-        def submit_next(session: QuerySession) -> None:
-            nonlocal seq
-            tasks = chains[session.qid]
-            if session._cursor >= len(tasks):
-                session.finished_at = self.clock.now
-                return
-            task = tasks[session._cursor]
-            session._cursor += 1
-            waiting.append(_Waiting(session, task, seq, self.clock.now))
-            seq += 1
-
-        def grant() -> None:
-            nonlocal seq
-            while True:
-                fitting = [
-                    w for w in waiting
-                    if self._pools[w.task.resource].fits(w.task.units)
-                    and all(d in completed for d in w.task.deps)
-                ]
-                if not fitting:
-                    return
-                w = min(
-                    fitting,
-                    # The class band mirrors the heap core's: a constant
-                    # prefix for all-foreground fleets, so pre-existing
-                    # schedules are unchanged.
-                    key=lambda w: (
-                        w.session.klass,
-                        self.policy.priority(w.session, w.task, w.seq),
-                        w.seq,
-                    ),
-                )
-                waiting.remove(w)
-                pool = self._pools[w.task.resource]
-                pool.in_use += w.task.units
-                now = self.clock.now
-                w.session.waited_seconds += now - w.since
-                running.append(
-                    _Running(w.session, w.task, now, now + w.task.duration, seq)
-                )
-                self._trace("start", w.session, w.task, now)
-                seq += 1
-
-        admission = self._admission
-        start = self.clock.now
-        arrivals = TimelineCursor(
-            sorted((s for s in self._sessions if s.arrival_at > start),
-                   key=lambda s: (s.arrival_at, s.qid)),
-            timestamp=lambda s: s.arrival_at,
-        )
-
-        def enter_all(entering: List[QuerySession]) -> None:
-            work = list(entering)
-            while work:
-                s = work.pop(0)
-                s.entered_at = self.clock.now
-                s.queued_seconds = self.clock.now - s.arrival_at
-                submit_next(s)
-                if (s.finished_at is not None and admission is not None
-                        and s.klass == 0):
-                    work.extend(admission.finish(s, self.clock.now))
-
-        def arrive(s: QuerySession) -> None:
-            if admission is None or s.klass != 0:
-                enter_all([s])
-            else:
-                enter_all(admission.arrive(s, self.clock.now))
-
-        for session in self._sessions:
-            if session.arrival_at <= start:
-                arrive(session)
-        grant()
-
-        failures = TimelineCursor(self._failure_events,
-                                  timestamp=lambda e: e.t)
-        while running or len(arrivals) or len(failures):
-            done = (min(running, key=lambda r: (r.end, r.seq))
-                    if running else None)
-            next_arrival = arrivals.next_t()
-            next_failure = failures.next_t()
-            if done is not None and (
-                    done.end <= min(next_arrival, next_failure)):
-                running.remove(done)
-                completed.add(done.task.uid)
-                self._complete(done)
-                submit_next(done.session)
-                if (done.session.finished_at is not None
-                        and admission is not None
-                        and done.session.klass == 0):
-                    enter_all(admission.finish(done.session, self.clock.now))
-                grant()
-            elif len(failures) and next_failure <= next_arrival:
-                if next_failure > self.clock.now:
-                    self.clock.advance_to(next_failure, "idle")
-                for event in failures.pop_batch():
-                    self._apply_failure_event(event)
-            else:
-                self.clock.advance_to(next_arrival, "idle")
-                for session in arrivals.pop_batch():
-                    arrive(session)
-                grant()
-
-        if waiting:  # pragma: no cover - guarded by the acyclic dedup graph
-            raise self._deadlock_error(waiting)
         if admission is not None and admission.queued:  # pragma: no cover
             raise QueryError(
                 f"admission queue stuck with {admission.queued} session(s) "

@@ -117,20 +117,6 @@ class KVStore:
         if not self._file.closed:
             self._file.flush()
 
-    def reopen_after_fork(self) -> None:
-        """Give this (child) process its own file handle.
-
-        A forked handle shares one seek offset with every sibling, so
-        concurrent ``seek``+``read`` across workers would race.  The
-        parent must :meth:`flush` before forking; the inherited handle is
-        then closed here with an empty buffer (harmless — closing a
-        child's fd never disturbs the parent's) and replaced by a fresh
-        one with a private offset.  The in-memory index carries over.
-        """
-        if not self._file.closed:
-            self._file.close()
-        self._file = open(self.path, "a+b")
-
     def __enter__(self) -> "KVStore":
         return self
 

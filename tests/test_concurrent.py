@@ -18,6 +18,8 @@ from repro.query.scheduler import (
 )
 from repro.storage.disk import DiskBandwidthPool
 
+from oracles.engine import execute_sequential
+
 
 @pytest.fixture(scope="module")
 def store(tmp_path_factory):
@@ -41,8 +43,8 @@ class TestDegenerateParity:
         engine = store.engine("dashcam")
         new = engine.execute(QUERY_B, 0.9, store.segments, 0.0, 64.0,
                              contexts=contexts)
-        ref = engine._execute_sequential(QUERY_B, 0.9, store.segments,
-                                         0.0, 64.0, contexts=contexts)
+        ref = execute_sequential(engine, QUERY_B, 0.9, store.segments,
+                                 0.0, 64.0, contexts=contexts)
         assert new.compute_seconds == ref.compute_seconds  # bit-identical
         assert new.speed == ref.speed
         assert new.positives_per_stage == ref.positives_per_stage
@@ -53,8 +55,8 @@ class TestDegenerateParity:
         scheme = one_to_one_scheme(store.configuration)
         new = engine.execute(QUERY_A, 0.8, store.segments, 0.0, 32.0,
                              scheme=scheme)
-        ref = engine._execute_sequential(QUERY_A, 0.8, store.segments,
-                                         0.0, 32.0, scheme=scheme)
+        ref = execute_sequential(engine, QUERY_A, 0.8, store.segments,
+                                 0.0, 32.0, scheme=scheme)
         assert new.compute_seconds == ref.compute_seconds
         assert new.positives_per_stage == ref.positives_per_stage
 

@@ -33,6 +33,8 @@ from repro.query.cascade import QUERY_A, QUERY_B
 from repro.query.scheduler import FIFOPolicy, OperatorContextPool
 from repro.storage.disk import DiskBandwidthPool
 
+from oracles.executor import run as run_on
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_PATH = GOLDEN_DIR / "trace_drift.json"
 
@@ -45,7 +47,7 @@ def _round(value: float) -> float:
     return round(value, 9)
 
 
-def _run_trace(workdir, core: str = "heap") -> dict:
+def _run_trace(workdir, core=None) -> dict:
     """One deterministic mixed run on a fresh store (the re-encode jobs'
     ``on_done`` hooks mutate the store, so every trace gets its own)."""
     lib = default_library(
@@ -76,13 +78,12 @@ def _run_trace(workdir, core: str = "heap") -> dict:
             disk_pool=DiskBandwidthPool(1),
             decoder_pool=DecoderPool(1),
             operator_pool=OperatorContextPool(2),
-            core=core,
         )
         ex.admit(QUERY_A, "jackson", 0.9, 0.0, 16.0)
         ex.admit(QUERY_B, "jackson", 0.9, 0.0, 16.0)
         for job in jobs:
             ex.admit_job(job)
-        outcomes = ex.run()
+        outcomes = run_on(ex, core)
         stats = ex.stats()
         return {
             "policy": stats.policy,

@@ -4,7 +4,7 @@ ready-heap index mechanics, dependency wakeups, and plan caching.
 The heap core's whole contract is *bit-identical outcomes*: the golden
 traces pin it against committed bytes, and the Hypothesis property here
 replays random fleets — policies x shard widths x pool bounds x cache —
-through both cores and requires the full trace, every per-query float,
+through the production cores and the reference oracle and requires the full trace, every per-query float,
 and the pool accounting to agree exactly.
 """
 
@@ -34,6 +34,8 @@ from repro.query.scheduler import (
     OperatorContextPool,
 )
 from repro.storage.disk import DiskBandwidthPool
+
+from oracles.executor import run as run_on
 
 
 @pytest.fixture(scope="module")
@@ -69,8 +71,8 @@ def test_heap_core_matches_reference_on_random_fleets(stores, data):
     """Random fleet, all three cores, everything equal to the last bit.
 
     Each example runs through the reference oracle, the batch-drained
-    heap core with the fast path *disabled* (so the general core is
-    exercised even on qualifying fleets), and the default dispatch — and
+    heap core *forced* (so the general core is exercised even on
+    qualifying fleets), and the default dispatch — and
     asserts the dispatch lowered onto the vectorized fast path exactly
     when the fleet qualifies (no cache plane, static FIFO/EDF priorities,
     every session single-context).  Half the examples are *forced* to
@@ -101,9 +103,9 @@ def test_heap_core_matches_reference_on_random_fleets(stores, data):
                       st.floats(0.5, 10.0, allow_nan=False)))
         admissions.append((qname, dataset, span, contexts, deadline))
 
-    def run(core, fastpath=True):
+    def run(core=None):
         # A fresh cache plane per run: single-flight dedup edges are then
-        # planned identically for both cores (planning only peeks).
+        # planned identically for every core (planning only peeks).
         cache = CachePlane(CacheConfig()) if with_cache else None
         ex = ConcurrentExecutor(
             store.configuration, store.library, store.segments,
@@ -114,16 +116,14 @@ def test_heap_core_matches_reference_on_random_fleets(stores, data):
             operator_pool=(OperatorContextPool(op_ctx)
                            if op_ctx else None),
             cache=cache,
-            core=core,
-            fastpath=fastpath,
         )
         for qname, dataset, span, contexts, deadline in admissions:
             ex.admit(cascade_for(qname), dataset, 0.9, 0.0, span,
                      contexts=contexts, deadline=deadline)
-        return ex, ex.run()
+        return ex, run_on(ex, core)
 
-    fast_ex, fast_out = run("heap")
-    heap_ex, heap_out = run("heap", fastpath=False)
+    fast_ex, fast_out = run()
+    heap_ex, heap_out = run("heap")
     ref_ex, ref_out = run("reference")
 
     assert fast_ex.trace_events == ref_ex.trace_events
@@ -214,16 +214,17 @@ def test_precomputed_plan_rejects_oversized_gang(stores):
 def test_deadlock_error_names_blocked_sessions(stores, core):
     """A stuck run must say *what* is stuck: (qid, resource, units)."""
     store = stores[1]
-    # fastpath=False: the injected dependency cycle lives in the runtime
-    # chains, which the (dependency-free) fast path never materializes.
-    ex = store.executor(core=core, fastpath=False)
+    # Forced cores only: the injected dependency cycle lives in the
+    # runtime chains, which the (dependency-free) fast path never
+    # materializes.
+    ex = store.executor()
     ex.admit(QUERY_B, "dashcam", 0.9, 0.0, 8.0)
     chains = ex._runtime_chains()
     first, last = chains[0][0], chains[0][-1]
     first.deps = (last.uid,)  # an impossible cycle: first waits on last
     ex._runtime_chains = lambda: chains
     with pytest.raises(QueryError) as err:
-        ex.run()
+        run_on(ex, core)
     message = str(err.value)
     assert "deadlock" in message
     assert f"(q0, {first.resource}, {first.units})" in message

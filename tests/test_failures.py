@@ -28,6 +28,8 @@ from repro.storage.failures import (
 )
 from repro.storage.sharding import ShardedDiskArray
 
+from oracles.executor import run as run_on, use_core
+
 
 def _array(shards=4, replication=2, **kw):
     kw.setdefault("placement", "round-robin")
@@ -385,15 +387,14 @@ class TestExecutorTimeline:
 
     def test_failure_events_appear_in_trace_both_cores(self, store):
         def run(core):
-            ex = store.executor(cache=None, metrics=None, core=core,
-                                trace=True)
+            ex = store.executor(cache=None, metrics=None, trace=True)
             from repro.query.cascade import cascade_for
             ex.admit(cascade_for("B"), "jackson", 0.9, 0.0, 16.0)
             ex.schedule_failures([
                 FailureEvent(t=ex.clock.now + 1.0, action="degrade", shard=1),
                 FailureEvent(t=ex.clock.now + 2.0, action="recover", shard=1),
             ])
-            ex.run()
+            run_on(ex, core)
             return [e for e in ex.trace_events if e["query"] == "failures"]
 
         heap, ref = run("heap"), run("reference")
@@ -479,8 +480,9 @@ class TestServeWithFailures:
 
     def test_serve_cores_agree_under_campaign(self, store):
         def run(core):
-            r = store.serve(TENANTS, horizon=25.0, seed=8, core=core,
-                            failures="degrade@4:0:8,recover@20:0")
+            with use_core(core):
+                r = store.serve(TENANTS, horizon=25.0, seed=8,
+                                failures="degrade@4:0:8,recover@20:0")
             store.disk_array.reset_health()
             return [(o.session.qid, o.session.finished_at, o.latency)
                     for o in r.outcomes]

@@ -29,6 +29,8 @@ from repro.query.scheduler import OperatorContextPool
 from repro.storage.disk import DiskBandwidthPool
 from repro.storage.failures import FailureCampaign
 
+from oracles.executor import run as run_on
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_PATH = GOLDEN_DIR / "trace_failure_campaign.json"
 
@@ -75,19 +77,18 @@ def _round(value: float) -> float:
     return round(value, 9)
 
 
-def _run_campaign(build_store, core: str = "heap"):
+def _run_campaign(build_store, core=None):
     """One canonical campaign run; returns (payload, raw trace events)."""
     store = build_store()
     ex = store.executor(
         disk_pool=DiskBandwidthPool(1),
         decoder_pool=DecoderPool(1),
         operator_pool=OperatorContextPool(2),
-        core=core,
         trace=True,
     )
     campaign = FailureCampaign.parse(CAMPAIGN)
     store._admit_with_failures(ex, [dict(s) for s in SPECS], campaign)
-    outcomes = ex.run()
+    outcomes = run_on(ex, core)
     store.close()
     stats = ex.stats()
     payload = {

@@ -34,6 +34,8 @@ from repro.query.scheduler import (
 )
 from repro.storage.disk import DiskBandwidthPool
 
+from oracles.executor import run as run_on
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 POLICIES = {
@@ -79,20 +81,19 @@ def _round(value: float) -> float:
     return round(value, 9)
 
 
-def _run_trace(store, policy_name: str, core: str = "heap") -> dict:
+def _run_trace(store, policy_name: str, core=None) -> dict:
     """One canonical contended run; returns the JSON-ready payload."""
     ex = store.executor(
         policy=POLICIES[policy_name](),
         disk_pool=DiskBandwidthPool(1),
         decoder_pool=DecoderPool(1),
         operator_pool=OperatorContextPool(2),
-        core=core,
     )
     ex.admit(QUERY_A, "jackson", 0.9, 0.0, 16.0)
     ex.admit(QUERY_B, "dashcam", 0.9, 0.0, 16.0, deadline=3.0)
     ex.admit(QUERY_A, "jackson", 0.8, 0.0, 16.0, stream="cam01")
     ex.admit(QUERY_B, "dashcam", 0.9, 0.0, 8.0, contexts=2)
-    outcomes = ex.run()
+    outcomes = run_on(ex, core)
     stats = ex.stats()
     return {
         "policy": stats.policy,

@@ -3,9 +3,8 @@
 The Chrome trace-event JSON is deterministic byte-for-byte, so it is
 pinned golden like the raw executor traces (regenerate intentionally
 with ``pytest tests/test_obs_export.py --update-golden`` and review the
-diff).  The columnar tier must round-trip rows bit-equal through
-whichever format the host supports — Parquet branches are exercised only
-when pyarrow exists; the JSONL fallback always runs.
+diff).  The columnar tier writes JSONL and must round-trip rows
+bit-equal.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from repro.core.store import VStore
 from repro.obs.export import (
     bench_history_rows,
     chrome_trace,
-    columnar_suffix,
     export_run,
     read_rows,
     to_dataframe,
@@ -143,45 +141,24 @@ def test_jsonl_roundtrip_bit_equal(tmp_path):
     assert Path(path).read_bytes() == Path(path2).read_bytes()
 
 
-def test_parquet_roundtrip_when_available(tmp_path):
-    pytest.importorskip("pyarrow")
-    path = str(tmp_path / "rows.parquet")
-    write_rows(path, ROWS)
-    back = read_rows(path)
-    assert len(back) == len(ROWS)
-    for orig, got in zip(ROWS, back):
-        for k, v in orig.items():
-            assert got[k] == v
-
-
-def test_columnar_suffix_matches_host(tmp_path):
-    suffix = columnar_suffix()
-    assert suffix in (".parquet", ".jsonl")
-    try:
-        import pyarrow  # noqa: F401
-
-        assert suffix == ".parquet"
-    except ImportError:
-        assert suffix == ".jsonl"
-
-
 def test_unknown_suffix_rejected(tmp_path):
-    with pytest.raises(ValueError):
-        write_rows(str(tmp_path / "rows.csv"), ROWS)
-    with pytest.raises(ValueError):
-        read_rows(str(tmp_path / "rows.csv"))
+    for suffix in (".csv", ".parquet"):
+        with pytest.raises(ValueError):
+            write_rows(str(tmp_path / ("rows" + suffix)), ROWS)
+        with pytest.raises(ValueError):
+            read_rows(str(tmp_path / ("rows" + suffix)))
 
 
 def test_to_dataframe_roundtrip(tmp_path):
     pytest.importorskip("pandas")
-    path = str(tmp_path / "rows" + columnar_suffix())
+    path = str(tmp_path / "rows.jsonl")
     write_rows(path, ROWS)
     df = to_dataframe(path)
     assert len(df) == len(ROWS)
     assert df.iloc[0]["resource"] == "disk"
     # Bit-equal through pandas: frame -> rows -> file reproduces the bytes.
     back = df.where(df.notna(), None).to_dict("records")
-    path2 = str(tmp_path / "rows2" + columnar_suffix())
+    path2 = str(tmp_path / "rows2.jsonl")
     write_rows(path2, back)
     assert read_rows(path2) == read_rows(path)
 

@@ -40,6 +40,8 @@ from repro.query.scheduler import (
 )
 from repro.storage.disk import DiskBandwidthPool
 
+from oracles.executor import run as run_on
+
 POLICIES = {
     "fifo": FIFOPolicy,
     "fair": FairSharePolicy,
@@ -59,15 +61,12 @@ def obs_store(tmp_path_factory):
         yield store
 
 
-def _contended_executor(store, policy_name: str, core: str = "heap",
-                        fastpath: bool = True):
+def _contended_executor(store, policy_name: str):
     ex = store.executor(
         policy=POLICIES[policy_name](),
         disk_pool=DiskBandwidthPool(1),
         decoder_pool=DecoderPool(1),
         operator_pool=OperatorContextPool(2),
-        core=core,
-        fastpath=fastpath,
     )
     ex.admit(QUERY_A, "jackson", 0.9, 0.0, 16.0)
     ex.admit(QUERY_B, "dashcam", 0.9, 0.0, 16.0, deadline=3.0)
@@ -75,8 +74,7 @@ def _contended_executor(store, policy_name: str, core: str = "heap",
     return ex
 
 
-def _fastpath_fleet(store, policy_name: str, core: str = "heap",
-                    fastpath: bool = True):
+def _fastpath_fleet(store, policy_name: str):
     """A fleet the vectorized fast path accepts: single-context, no cache."""
     engine = store.engine("jackson")
     plan = engine.plan(QUERY_A, 0.9, store.segments, 0.0, 16.0)
@@ -85,8 +83,6 @@ def _fastpath_fleet(store, policy_name: str, core: str = "heap",
         disk_pool=DiskBandwidthPool(1),
         decoder_pool=DecoderPool(1),
         operator_pool=OperatorContextPool(2),
-        core=core,
-        fastpath=fastpath,
     )
     for i in range(6):
         deadline = 10.0 - i if policy_name == "edf" else None
@@ -124,8 +120,8 @@ def test_validate_events_rejects_schema_breaks(bad):
 @pytest.mark.parametrize("policy_name", sorted(POLICIES))
 @pytest.mark.parametrize("core", ["heap", "reference"])
 def test_every_core_emits_exact_schema(obs_store, policy_name, core):
-    ex = _contended_executor(obs_store, policy_name, core)
-    ex.run()
+    ex = _contended_executor(obs_store, policy_name)
+    run_on(ex, core)
     assert ex.trace_events
     for e in ex.trace_events:
         assert tuple(e) == TRACE_SCHEMA
@@ -154,21 +150,21 @@ def _stream_bytes(ex) -> bytes:
 
 @pytest.mark.parametrize("policy_name", sorted(POLICIES))
 def test_heap_and_reference_streams_identical(obs_store, policy_name):
-    a = _contended_executor(obs_store, policy_name, "heap")
-    b = _contended_executor(obs_store, policy_name, "reference")
-    a.run()
-    b.run()
+    a = _contended_executor(obs_store, policy_name)
+    b = _contended_executor(obs_store, policy_name)
+    run_on(a, "heap")
+    run_on(b, "reference")
     assert _stream_bytes(a) == _stream_bytes(b)
 
 
 @pytest.mark.parametrize("policy_name", ["fifo", "edf"])
 def test_fastpath_stream_identical_to_both_cores(obs_store, policy_name):
     fast = _fastpath_fleet(obs_store, policy_name)
-    heap = _fastpath_fleet(obs_store, policy_name, fastpath=False)
-    ref = _fastpath_fleet(obs_store, policy_name, core="reference")
+    heap = _fastpath_fleet(obs_store, policy_name)
+    ref = _fastpath_fleet(obs_store, policy_name)
     fast.run()
-    heap.run()
-    ref.run()
+    run_on(heap, "heap")
+    run_on(ref, "reference")
     assert fast.stats().core == "fastpath"
     assert heap.stats().core == "heap"
     assert _stream_bytes(fast) == _stream_bytes(heap) == _stream_bytes(ref)

@@ -30,6 +30,7 @@ from repro.core.evolve import (
     replan_incremental,
 )
 from repro.core.store import VStore
+from repro.errors import ReplicaUnavailableError
 from repro.operators.library import Consumer, default_library
 from repro.query.scheduler import OperatorContextPool
 from repro.storage.disk import DiskBandwidthPool
@@ -296,3 +297,34 @@ def test_age_online_with_foreground_queries(tmp_path):
         )
         assert deletions == 0
         assert len([o for o in outcomes if o.session.klass == 0]) == 2
+
+
+def test_evolve_skips_golden_segments_lost_at_k1(tmp_path):
+    """With one replica, a failed shard destroys golden segments outright.
+
+    Evolution must re-encode every surviving segment and report the lost
+    ones instead of aborting on the first unreadable source.
+    """
+    with VStore(workdir=str(tmp_path), shards=4, replication=1) as store:
+        store.configure()
+        store.ingest("jackson", n_segments=8)
+        store.execute_many([{"query": "B", "dataset": "jackson",
+                             "accuracy": 0.9, "t0": 0.0, "t1": 16.0}] * 6)
+        store.inject_failures("fail@0:0")
+        golden = store.configuration.plan.golden.fmt
+        lost = []
+        for i in store.segments.indices("jackson", golden):
+            try:
+                store.segments.shard_of("jackson", golden, i)
+            except ReplicaUnavailableError:
+                lost.append(("jackson", i))
+        assert lost, "shard 0 must have held some golden segments"
+
+        report = store.evolve_online()
+
+        assert report.skipped_segments == tuple(lost)
+        assert store.segments.committed_epoch == report.epoch
+        survivors = 8 - len(lost)
+        assert report.reencoded_segments == survivors * len(
+            report.replan.added)
+        assert report.reencoded_segments > 0

@@ -31,6 +31,8 @@ from repro.query.scheduler import (
 )
 from repro.query.workload import ArrivalSpec, QueryMixEntry, TenantSpec
 
+from oracles.executor import run as run_on
+
 
 @pytest.fixture(scope="module")
 def store(tmp_path_factory):
@@ -385,12 +387,11 @@ def test_heap_core_matches_reference_on_open_loop_fleets(store, data):
             policy=policy_factory(),
             decoder_pool=DecoderPool(decoder_ctx) if decoder_ctx else None,
             admission=admission,
-            core=core,
         )
         for qname, dataset, arrival, tenant, deadline in admissions:
             ex.admit(cascade_for(qname), dataset, 0.9, 0.0, 16.0,
                      arrival=arrival, tenant=tenant, deadline=deadline)
-        return ex, ex.run()
+        return ex, run_on(ex, core)
 
     heap_ex, heap_out = run("heap")
     ref_ex, ref_out = run("reference")

@@ -11,6 +11,8 @@ from repro.ingest.budget import IngestBudget
 from repro.operators.library import Consumer
 from repro.profiler.coding_profiler import CodingProfiler
 
+from oracles.profiler import ScalarCodingProfiler
+
 #: The Table-3 workload: six operators at the four declared accuracies.
 _JACKSON_OPS = ("Diff", "S-NN", "NN")
 _DASHCAM_OPS = ("Motion", "License", "OCR")
@@ -39,8 +41,9 @@ def small_decisions(dashcam_profiler):
 
 
 def _planner(use_table, cores=None):
+    profiler = CodingProfiler if use_table else ScalarCodingProfiler
     return StorageFormatPlanner(
-        CodingProfiler(activity=0.6, use_table=use_table),
+        profiler(activity=0.6),
         IngestBudget(cores),
     )
 

@@ -18,6 +18,8 @@ from repro.video.coding import Coding, RAW, coding_space
 from repro.video.fidelity import Fidelity, SAMPLING_RATES, fidelity_space
 from repro.video.format import StorageFormat
 
+from oracles.profiler import ScalarCodingProfiler
+
 ACTIVITY = 0.6
 
 
@@ -105,8 +107,8 @@ class TestTableCache:
 
 class TestProfilerModes:
     def test_profile_identical_with_and_without_table(self):
-        scalar = CodingProfiler(activity=ACTIVITY, use_table=False)
-        table = CodingProfiler(activity=ACTIVITY, use_table=True)
+        scalar = ScalarCodingProfiler(activity=ACTIVITY)
+        table = CodingProfiler(activity=ACTIVITY)
         for fid in list(fidelity_space())[::37]:
             for coding in [RAW] + list(coding_space(include_raw=False))[::7]:
                 fmt = StorageFormat(fid, coding)

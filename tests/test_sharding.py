@@ -33,6 +33,8 @@ from repro.video.fidelity import Fidelity
 from repro.video.format import StorageFormat
 from repro.video.segment import Segment
 
+from oracles.engine import execute_sequential
+
 #: CI matrix knob: the generic sharded tests run at this width.
 N_SHARDS = int(os.environ.get("SHARDS", "4"))
 
@@ -375,8 +377,8 @@ class TestEndToEnd:
         store = fleet_stores[1]
         engine = store.engine("jackson")
         new = engine.execute(QUERY_A, 0.9, store.segments, 0.0, 32.0)
-        ref = engine._execute_sequential(QUERY_A, 0.9, store.segments,
-                                         0.0, 32.0)
+        ref = execute_sequential(engine, QUERY_A, 0.9, store.segments,
+                                 0.0, 32.0)
         assert new.compute_seconds == ref.compute_seconds  # bit-identical
         assert new.positives_per_stage == ref.positives_per_stage
         assert new.segments_per_stage == ref.segments_per_stage
