@@ -19,10 +19,10 @@ adaptation path: :func:`replan_incremental` hill-climbs a new configuration
 from the current plan (Mode-3 style, warm-started via the coding profiler's
 memo tables), :func:`legacy_configuration` lets frozen stores keep answering
 drifted queries from existing formats, and the job builders at the bottom
-(:func:`reencode_jobs`, :func:`retirement_jobs`, :func:`erosion_jobs`,
-:func:`rebalance_jobs`) turn the plan diff into
-:class:`~repro.query.scheduler.BackgroundJob` chains that contend with
-foreground queries on the executor's shared pools.
+(:func:`reencode_jobs`, :func:`retirement_jobs`, :func:`erosion_jobs`)
+turn the plan diff into :class:`~repro.query.scheduler.BackgroundJob`
+chains that contend with foreground queries on the executor's shared
+pools.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from repro.profiler.profiler import OperatorProfiler
 from repro.retrieval.speed import retrieval_speed
 from repro.storage.lifespan import AgeTracker, erosion_rank
 from repro.storage.segment_store import SegmentStore
-from repro.storage.sharding import plan_rebalance
 from repro.units import SEGMENT_SECONDS
 from repro.video.format import StorageFormat
 
@@ -397,10 +396,6 @@ def legacy_configuration(
 # package graph, so a module-level import would cycle.
 
 
-def _shard_disk(store: SegmentStore, shard: int):
-    return store.disk if store.array is None else store.array.shard(shard)
-
-
 def reencode_jobs(
     store: SegmentStore,
     stream: str,
@@ -441,7 +436,7 @@ def reencode_jobs(
     for target in targets:
         tasks: List[ResourceTask] = []
         for meta in metas:
-            disk = _shard_disk(store, meta.shard)
+            disk = store.array.shard(meta.shard)
             tasks.append(ResourceTask(
                 kind="read", resource="disk", units=1,
                 duration=(meta.size_bytes / disk.read_bandwidth
@@ -506,7 +501,7 @@ def retirement_jobs(
                 shard = store.shard_of(stream, fmt, index)
             except ReplicaUnavailableError:
                 continue
-            disk = _shard_disk(store, shard)
+            disk = store.array.shard(shard)
             tasks.append(ResourceTask(
                 kind="delete", resource="disk", units=1,
                 duration=disk.request_overhead,
@@ -554,7 +549,7 @@ def erosion_jobs(
             for i in indices:
                 if erosion_rank(i) < fraction:
                     shard = store.shard_of(stream, fmt, i)
-                    disk = _shard_disk(store, shard)
+                    disk = store.array.shard(shard)
                     tasks.append(ResourceTask(
                         kind="delete", resource="disk", units=1,
                         duration=disk.request_overhead,
@@ -566,54 +561,6 @@ def erosion_jobs(
         return []
     return [BackgroundJob(name=f"erode:{stream}", stream=stream,
                           kind="erode", tasks=tuple(tasks))]
-
-
-def rebalance_jobs(store: SegmentStore) -> List["BackgroundJob"]:  # noqa: F821
-    """Shard migrations as background jobs (the online ``rebalance()``).
-
-    Plans the same greedy move list the foreground
-    :meth:`SegmentStore.rebalance` applies, but pays each move's source
-    read and destination write on the executor's shard channel pools; the
-    write's ``on_done`` commits the placement via
-    :meth:`SegmentStore.commit_move` (bookkeeping only, no double charge).
-    One job per stream keeps a stream's moves serial while streams migrate
-    concurrently.
-    """
-    from repro.query.scheduler import BackgroundJob, ResourceTask
-
-    if store.array is None or store.array.n_shards <= 1:
-        return []
-    array = store.array
-    by_stream: Dict[str, List[ResourceTask]] = {}
-    for (stream, fmt_text, index), src, dst in plan_rebalance(
-        array.assignments(), array.n_shards
-    ):
-        # Same-package reach into the store's key/meta helpers: moves are
-        # keyed by escaped format text, which has no public meta lookup.
-        nbytes = store._read_meta(
-            store._key_text(stream, fmt_text, index)
-        )["size_bytes"]
-        src_disk, dst_disk = array.shard(src), array.shard(dst)
-        tasks = by_stream.setdefault(stream, [])
-        tasks.append(ResourceTask(
-            kind="read", resource="disk", units=1,
-            duration=nbytes / src_disk.read_bandwidth
-            + src_disk.request_overhead,
-            category="disk", operator="migrate", shard=src,
-        ))
-        tasks.append(ResourceTask(
-            kind="write", resource="disk", units=1,
-            duration=nbytes / dst_disk.write_bandwidth
-            + dst_disk.request_overhead,
-            category="disk", operator="migrate", shard=dst,
-            on_done=(lambda s=stream, f=fmt_text, i=index, d=dst:
-                     store.commit_move(s, f, i, d)),
-        ))
-    return [
-        BackgroundJob(name=f"migrate:{stream}", stream=stream,
-                      kind="migrate", tasks=tuple(tasks))
-        for stream, tasks in by_stream.items()
-    ]
 
 
 @dataclass

@@ -42,7 +42,7 @@ from repro.errors import ConfigurationError, QueryError, StorageError
 from repro.ingest.budget import IngestBudget
 from repro.obs import MetricsRegistry, Observability, RunRecord, metrics_enabled
 from repro.ingest.pipeline import IngestionPipeline, IngestionReport
-from repro.operators.library import OperatorLibrary, default_library
+from repro.operators.library import Consumer, OperatorLibrary, default_library
 from repro.query.cascade import cascade_for
 from repro.query.engine import ExecutionResult, QueryEngine, QueryReport
 from repro.storage.kvstore import KVStore
@@ -55,6 +55,11 @@ from repro.storage.sharding import (
 )
 from repro.video.content import ContentModel
 from repro.video.datasets import get_dataset
+
+
+def _spec_cascade(query):
+    """The cascade a query spec names: "A"/"B" or a cascade itself."""
+    return cascade_for(query) if isinstance(query, str) else query
 
 
 @dataclass(frozen=True)
@@ -124,8 +129,8 @@ class VStore:
             CachePlane(cache_config) if cache_config is not None else None
         )
 
-        # The sharded storage plane.  One shard is bit-identical to the
-        # pre-sharding single DiskModel; more shards spread segments by
+        # The sharded storage plane.  One shard charges exactly what a
+        # single DiskModel would; more shards spread segments by
         # ``placement`` ("round-robin" | "hash" | "locality" or a policy
         # instance) and let concurrent retrievals overlap.
         # ``replication=k`` keeps every segment on k distinct shards, so
@@ -551,9 +556,7 @@ class VStore:
     def _admit_specs(executor: "ConcurrentExecutor", specs) -> None:
         for spec in specs:
             spec = dict(spec)
-            query = spec.pop("query")
-            if isinstance(query, str):
-                query = cascade_for(query)
+            query = _spec_cascade(spec.pop("query"))
             executor.admit(
                 query, spec.pop("dataset"), spec.pop("accuracy"),
                 spec.pop("t0"), spec.pop("t1"), **spec
@@ -581,8 +584,11 @@ class VStore:
 
         The incremental planner (:func:`~repro.core.evolve.replan_incremental`)
         hill-climbs a new plan from the current one — warm-started via the
-        configuration's coding-profiler memos — for ``consumers``
-        (defaulting to the drift detector's observed mix).  New storage
+        configuration's coding-profiler memos — for ``consumers``.  Left
+        ``None``, they default to the drift detector's observed mix,
+        followed by every consumer of the ``foreground`` specs the window
+        has not seen yet, so the query types served during the evolution
+        stay plannable after it.  New storage
         formats are materialized by background re-encode jobs that contend
         honestly with any ``foreground`` query specs (same format as
         :meth:`execute_many`) on one shared executor, in scheduling class 1
@@ -599,7 +605,13 @@ class VStore:
             )
         config = self.configuration
         if consumers is None:
-            consumers = self.drift.demanded_consumers() or list(config.consumers)
+            consumers = (self.drift.demanded_consumers()
+                         or list(config.consumers))
+            for spec in foreground:
+                for operator in _spec_cascade(spec["query"]):
+                    consumer = Consumer(operator, spec["accuracy"])
+                    if consumer not in consumers:
+                        consumers.append(consumer)
         replan = replan_incremental(
             config, self.library, consumers,
             profile_datasets=self.profile_datasets,

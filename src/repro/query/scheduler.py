@@ -190,7 +190,7 @@ class ResourceTask:
     operator: str  # cascade stage this task belongs to
     access: Optional[RetrievalAccess] = None  # cache view of a retrieve task
     hit: bool = False  # True when planned as a committed cache hit
-    #: Disk shard serving a "disk" retrieval (0 on unsharded stores);
+    #: Disk shard serving a "disk" retrieval (0 on one-shard stores);
     #: the executor routes the task onto that shard's channel pool.
     shard: int = 0
     #: Completion hook, fired at the simulated instant the task finishes.
@@ -870,10 +870,10 @@ class ConcurrentExecutor:
         # store keeps the original one-pool layout and resource names.
         # The array itself names its channel pools (``io_resources``) so
         # the ready-heap index registers one heap per spindle.
-        self._disk_shards = getattr(store.disk, "n_shards", 1)
+        self._disk_shards = store.array.n_shards
         channels = disk_pool.channels if disk_pool else None
-        io_names = getattr(store.disk, "io_resources", lambda: ["disk"])()
-        disk_pools = {name: _Pool(name, channels) for name in io_names}
+        disk_pools = {name: _Pool(name, channels)
+                      for name in store.array.io_resources()}
         self._pools: Dict[str, _Pool] = {
             **disk_pools,
             "decoder": _Pool(
@@ -923,11 +923,8 @@ class ConcurrentExecutor:
         self._admit_wall_seconds = 0.0
         self._frame_followers: Dict[tuple, int] = {}
         #: Scheduled shard failure events (:mod:`repro.storage.failures`)
-        #: merged into the run's timeline, and the array (if any) whose
-        #: health they flip at their instants — see
-        #: :meth:`schedule_failures`.
+        #: merged into the run's timeline — see :meth:`schedule_failures`.
         self._failure_events: List = []
-        self._failure_array = None
 
     # -- admission ---------------------------------------------------------
 
@@ -1117,7 +1114,7 @@ class ConcurrentExecutor:
         self._admit_wall_seconds += perf_counter() - wall0
         return session
 
-    def schedule_failures(self, events, *, array=None) -> None:
+    def schedule_failures(self, events) -> None:
         """Put a failure campaign's events on the run's timeline.
 
         ``events`` is an iterable of
@@ -1130,16 +1127,11 @@ class ConcurrentExecutor:
         paired zero-duration ``start``/``finish`` trace record under the
         pseudo-query label ``"failures"``.
 
-        When ``array`` is given (a
-        :class:`~repro.storage.sharding.ShardedDiskArray`), each event's
-        health transition is applied to it at its instant via the
-        idempotent :func:`~repro.storage.failures.apply_event`; rebuild
-        work a mid-run ``fail`` surfaces is the caller's to schedule —
-        jobs cannot be admitted once the run started.  Left ``None``, the
-        events are purely observational (trace + clock), which is how
-        ``VStore.serve`` uses them: the facade already applied the
-        campaign to the array during its planning pass, so replaying the
-        mutations here would double-apply them.
+        The events are purely observational (trace + clock): plans are
+        fixed at admission, so the caller applies each health transition
+        to the array while admitting (as ``VStore.serve`` does in its
+        planning pass) and admits the rebuild jobs a ``fail`` surfaces —
+        jobs cannot be admitted once the run started.
         """
         if self._ran:
             raise QueryError("executor already ran; create a new one")
@@ -1152,21 +1144,14 @@ class ConcurrentExecutor:
                 )
         merged = sorted(self._failure_events + incoming, key=lambda e: e.t)
         self._failure_events = merged
-        if array is not None:
-            self._failure_array = array
 
     def _apply_failure_event(self, event) -> None:
         """Fire one scheduled failure event at the current instant.
 
-        Flips the array's health when one was attached
-        (:meth:`schedule_failures`), and emits the paired start/finish
-        trace records either way.  Mid-run rebuild work is dropped here
-        by design — see :meth:`schedule_failures`.
+        Emits the paired start/finish trace records; the health
+        transition itself was applied at admission — see
+        :meth:`schedule_failures`.
         """
-        if self._failure_array is not None:
-            from repro.storage.failures import apply_event
-
-            apply_event(self._failure_array, event)
         t = self.clock.now
         resource = (
             f"disk:{event.shard % self._disk_shards}"
@@ -1424,7 +1409,7 @@ class ConcurrentExecutor:
         # Close the cross-layer loop: after the run, migrate segments the
         # access stats marked hot (the migration I/O is on the clock).
         if self.cache is not None and self.cache.tiers is not None:
-            self.cache.sweep_tiers(self.clock, self.store.disk)
+            self.cache.sweep_tiers(self.clock, self.store.array)
         return [self._outcome(s) for s in self._sessions]
 
     def _complete(self, done: _Running) -> None:

@@ -3,7 +3,10 @@
 Keys are ``{stream}/{format-label}/{segment-index}``.  Each value is a small
 JSON metadata record optionally followed by the segment payload.  The store
 tracks per-(stream, format) footprints so storage-cost experiments can read
-them off without scanning.
+them off without scanning.  Every store sits on a
+:class:`~repro.storage.sharding.ShardedDiskArray`, which decides which
+shards hold each key and is charged for every read and write; the store
+persists that placement in each metadata record so it survives reopen.
 
 Store-level records live under the reserved ``__vstore__/`` key prefix
 (stream names may not start with it); today that holds the committed
@@ -18,12 +21,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 from urllib.parse import quote, unquote
 
 from repro.codec.encoder import EncodedSegment
 from repro.errors import StorageError
-from repro.storage.disk import DiskModel, DEFAULT_DISK
 from repro.storage.kvstore import KVStore
 from repro.storage.sharding import RebalanceReport, ShardedDiskArray, plan_rebalance
 from repro.video.coding import Coding
@@ -52,7 +54,7 @@ class StoredSegment:
     activity: float
     seconds: float
     has_payload: bool
-    shard: int = 0  # disk shard holding the segment (0 on unsharded stores)
+    shard: int = 0  # disk shard serving the segment's reads
 
     @property
     def segment(self) -> Segment:
@@ -110,15 +112,10 @@ class SegmentStore:
     erosion can never leave stale cache state behind.
     """
 
-    def __init__(self, kv: KVStore,
-                 disk: Union[DiskModel, ShardedDiskArray] = DEFAULT_DISK):
+    def __init__(self, kv: KVStore, array: ShardedDiskArray):
         self.kv = kv
-        self.disk = disk
-        #: The sharded storage plane, when one backs this store.  A plain
-        #: DiskModel keeps the pre-sharding single-spindle behavior.
-        self.array: Optional[ShardedDiskArray] = (
-            disk if isinstance(disk, ShardedDiskArray) else None
-        )
+        #: The storage plane: placement, replicas and every disk charge.
+        self.array = array
         self.cache = None  # Optional[repro.cache.plane.CachePlane]
         self._footprint: Dict[Tuple[str, str], int] = {}
         self._count: Dict[Tuple[str, str], int] = {}
@@ -207,14 +204,13 @@ class SegmentStore:
                 self._footprint.get(bucket, 0) + meta["size_bytes"]
             )
             self._count[bucket] = self._count.get(bucket, 0) + 1
-            if self.array is not None:
-                # Restore the persisted placement (pre-sharding stores
-                # carry no shard field: everything lived on shard 0).
-                replicas = meta.get("replicas")
-                self.array.adopt(stream, fmt_text, index,
-                                 meta.get("shard", 0), meta["size_bytes"],
-                                 replicas=None if replicas is None
-                                 else tuple(replicas))
+            # Restore the persisted placement (records written before
+            # sharding carry no shard field: everything lived on shard 0).
+            replicas = meta.get("replicas")
+            self.array.adopt(stream, fmt_text, index,
+                             meta.get("shard", 0), meta["size_bytes"],
+                             replicas=None if replicas is None
+                             else tuple(replicas))
 
     @staticmethod
     def _key_text(stream: str, fmt_text: str, index: int) -> str:
@@ -235,15 +231,24 @@ class SegmentStore:
         head, _, _ = blob.partition(_SEPARATOR)
         return json.loads(head.decode("utf-8"))
 
+    def _rewrite_meta(self, stream: str, fmt_text: str, index: int,
+                      **fields) -> None:
+        """Set ``fields`` in one metadata record, keeping its payload."""
+        key = self._key_text(stream, fmt_text, index)
+        head, _, body = self.kv.get(key).partition(_SEPARATOR)
+        meta = json.loads(head.decode("utf-8"))
+        meta.update(fields)
+        self.kv.put(key, json.dumps(meta).encode("utf-8") + _SEPARATOR + body)
+
     # -- writes -----------------------------------------------------------------
 
     def put(self, encoded: EncodedSegment, *, epoch: Optional[int] = None,
             charge: bool = True) -> None:
         """Store an encoded segment (metadata + optional payload).
 
-        On a sharded store the placement policy assigns (or re-finds) the
-        segment's shard; the write is charged to that shard and the shard
-        id is persisted in the metadata record so placement survives
+        The array's placement policy assigns (or re-finds) the segment's
+        shards; the write is charged to every copy's shard and the
+        placement is persisted in the metadata record so it survives
         reopen.
 
         Online evolution tags its writes with the in-flight format
@@ -258,14 +263,10 @@ class SegmentStore:
                 f"stream name {stream!r} collides with the reserved "
                 f"{_META_PREFIX!r} key prefix"
             )
-        shard = 0
-        replicas: Tuple[int, ...] = ()
-        if self.array is not None:
-            fmt_text = _fmt_key(encoded.fmt)
-            shard = self.array.place(stream, fmt_text, index,
-                                     encoded.size_bytes, encoded.activity)
-            if self.array.replication > 1:
-                replicas = self.array.replicas(stream, fmt_text, index)
+        fmt_text = _fmt_key(encoded.fmt)
+        shard = self.array.place(stream, fmt_text, index,
+                                 encoded.size_bytes, encoded.activity)
+        replicas = self.array.replicas(stream, fmt_text, index)
         meta = {
             "size_bytes": encoded.size_bytes,
             "n_frames": encoded.n_frames,
@@ -281,18 +282,15 @@ class SegmentStore:
         blob = json.dumps(meta).encode("utf-8") + _SEPARATOR
         if encoded.payload is not None:
             blob += encoded.payload
-        key = self._key(stream, encoded.fmt, index)
+        key = self._key_text(stream, fmt_text, index)
         existed = key in self.kv
         self.kv.put(key, blob)
         if charge:
-            if self.array is not None:
-                # A replicated write pays every copy's spindle.
-                for target in replicas or (shard,):
-                    self.array.write_at(target, encoded.size_bytes)
-            else:
-                self.disk.write(encoded.size_bytes)
-        self._invalidate_cache(encoded.segment.stream, encoded.segment.index)
-        bucket = (encoded.segment.stream, _fmt_key(encoded.fmt))
+            # A replicated write pays every copy's spindle.
+            for target in replicas:
+                self.array.write_at(target, encoded.size_bytes)
+        self._invalidate_cache(stream, index)
+        bucket = (stream, fmt_text)
         if existed:
             # Overwrite: footprint was already counted; recompute lazily.
             self._footprint[bucket] = self._recount_footprint(bucket)
@@ -327,26 +325,20 @@ class SegmentStore:
     def get(self, stream: str, fmt: StorageFormat, index: int) -> StoredSegment:
         """Fetch one segment's metadata, charging its shard for the bytes."""
         meta = self.meta(stream, fmt, index)
-        if self.array is not None:
-            self.array.read_at(meta.shard, meta.size_bytes)
-        else:
-            self.disk.read(meta.size_bytes)
+        self.array.read_at(meta.shard, meta.size_bytes)
         return meta
 
     def meta(self, stream: str, fmt: StorageFormat, index: int) -> StoredSegment:
         """Fetch one segment's metadata without charging any disk time.
 
-        On a sharded store the reported shard is the array's *effective*
-        assignment, not the raw persisted field — a store written on a
-        wider array folds onto the current shard count at open, and the
-        metadata record may still carry the out-of-range original.
+        The reported shard is the array's *effective* assignment, not the
+        raw persisted field — a store written on a wider array folds onto
+        the current shard count at open, and the metadata record may
+        still carry the out-of-range original.
         """
         key = self._require(stream, fmt, index)
         meta = self._read_meta(key)
-        if self.array is not None:
-            shard = self.shard_of(stream, fmt, index)
-        else:
-            shard = meta.get("shard", 0)
+        shard = self.shard_of(stream, fmt, index)
         return StoredSegment(
             stream=stream,
             index=index,
@@ -394,8 +386,7 @@ class SegmentStore:
             return False
         size = self._read_meta(key)["size_bytes"]
         self.kv.delete(key)
-        if self.array is not None:
-            self.array.forget(stream, _fmt_key(fmt), index)
+        self.array.forget(stream, _fmt_key(fmt), index)
         self._invalidate_cache(stream, index)
         bucket = (stream, _fmt_key(fmt))
         remaining = self._count.get(bucket, 0) - 1
@@ -430,18 +421,16 @@ class SegmentStore:
 
     @property
     def n_shards(self) -> int:
-        return 1 if self.array is None else self.array.n_shards
+        return self.array.n_shards
 
     def shard_of(self, stream: str, fmt: StorageFormat, index: int) -> int:
-        """The shard a segment's *reads* route to (0 on unsharded stores).
+        """The shard a segment's *reads* route to (0 when never placed).
 
         On a healthy array this is the placed primary.  Under shard
         failures it is the fastest surviving replica, and a segment whose
         every replica was destroyed raises
         :class:`~repro.errors.ReplicaUnavailableError` — the data is gone.
         """
-        if self.array is None:
-            return 0
         shard = self.array.effective_read_shard(stream, _fmt_key(fmt), index)
         return 0 if shard is None else shard
 
@@ -452,34 +441,7 @@ class SegmentStore:
         Routes through :meth:`shard_of`, so a degraded shard's factor is
         folded into the bandwidth and failed shards are bypassed.
         """
-        if self.array is not None:
-            return self.array.read_params_at(self.shard_of(stream, fmt, index))
-        return self.disk.read_bandwidth, self.disk.request_overhead
-
-    def commit_move(self, stream: str, fmt_text: str, index: int,
-                    dst: int) -> None:
-        """Reassign a segment's shard and persist it, without charging I/O.
-
-        The background-migration path: a shard-migration job's read and
-        write tasks already paid their time on the executor's channel
-        pools, so when the write completes only the bookkeeping remains —
-        the array's placement map and the metadata record's shard field.
-        (:meth:`rebalance` is the foreground path that charges the clock
-        itself.)
-        """
-        if self.array is None:
-            return
-        key = self._key_text(stream, fmt_text, index)
-        blob = self.kv.get(key)
-        head, _, body = blob.partition(_SEPARATOR)
-        meta = json.loads(head.decode("utf-8"))
-        self.array.reassign(stream, fmt_text, index, dst)
-        meta["shard"] = dst
-        if "replicas" in meta:
-            meta["replicas"] = list(
-                self.array.replicas(stream, fmt_text, index)
-            )
-        self.kv.put(key, json.dumps(meta).encode("utf-8") + _SEPARATOR + body)
+        return self.array.read_params_at(self.shard_of(stream, fmt, index))
 
     def commit_replica(self, stream: str, fmt_text: str, index: int,
                        shard: int) -> None:
@@ -490,17 +452,10 @@ class SegmentStore:
         when the copy completes only the bookkeeping remains — the array's
         replica map and the metadata record's shard/replica fields.
         """
-        if self.array is None:
-            return
         self.array.add_replica(stream, fmt_text, index, shard)
-        key = self._key_text(stream, fmt_text, index)
-        blob = self.kv.get(key)
-        head, _, body = blob.partition(_SEPARATOR)
-        meta = json.loads(head.decode("utf-8"))
         replicas = self.array.replicas(stream, fmt_text, index)
-        meta["shard"] = replicas[0]
-        meta["replicas"] = list(replicas)
-        self.kv.put(key, json.dumps(meta).encode("utf-8") + _SEPARATOR + body)
+        self._rewrite_meta(stream, fmt_text, index, shard=replicas[0],
+                           replicas=list(replicas))
 
     def rebalance(self) -> RebalanceReport:
         """Move segments between shards until byte loads are balanced.
@@ -510,37 +465,35 @@ class SegmentStore:
         the migration I/O (source read + destination write) to the clock
         and rewrites the segment's metadata record with its new shard, so
         the placement survives reopen.  Cached decoded frames and results
-        stay valid — the bytes did not change, only their spindle.
+        stay valid — the bytes did not change, only their spindle.  A
+        planned move onto a shard that already holds a copy of the key is
+        skipped, and ``moves`` counts only the moves applied.
 
-        No-op (empty report) on unsharded and single-shard stores.
+        No-op (empty report) on single-shard stores.
         """
-        if self.array is None or self.array.n_shards <= 1:
+        array = self.array
+        if array.n_shards <= 1:
             return RebalanceReport(
                 moves=0, bytes_moved=0.0, seconds=0.0,
                 imbalance_before=0.0, imbalance_after=0.0,
             )
-        array = self.array
         before = array.byte_imbalance
-        moves = plan_rebalance(array.assignments(), array.n_shards)
+        placed = array.assignments()
+        moves = 0
         seconds = 0.0
         bytes_moved = 0.0
-        for (stream, fmt_text, index), src, dst in moves:
-            if dst in array.replicas(stream, fmt_text, index):
+        for key, src, dst in plan_rebalance(placed, array.n_shards):
+            if dst in array.replicas(*key):
                 # Moving the primary onto a shard that already holds a
                 # copy would collapse two replicas into one; skip it.
                 continue
-            key = self._key_text(stream, fmt_text, index)
-            blob = self.kv.get(key)
-            head, _, body = blob.partition(_SEPARATOR)
-            meta = json.loads(head.decode("utf-8"))
-            nbytes = meta["size_bytes"]
+            nbytes = placed[key][1]
             seconds += array.migrate(src, dst, nbytes)
-            array.reassign(stream, fmt_text, index, dst)
-            meta["shard"] = dst
-            self.kv.put(key, json.dumps(meta).encode("utf-8")
-                        + _SEPARATOR + body)
+            array.reassign(*key, dst)
+            self._rewrite_meta(*key, shard=dst)
             bytes_moved += nbytes
+            moves += 1
         return RebalanceReport(
-            moves=len(moves), bytes_moved=bytes_moved, seconds=seconds,
+            moves=moves, bytes_moved=bytes_moved, seconds=seconds,
             imbalance_before=before, imbalance_after=array.byte_imbalance,
         )

@@ -24,10 +24,12 @@ Where a segment lands is decided by a pluggable :class:`PlacementPolicy`:
 The array is pure accounting: segment payloads still live in the KV
 backend; the :class:`~repro.storage.segment_store.SegmentStore` records
 each key's shard in its metadata record (so placement survives reopen) and
-charges reads/writes to the assigned shard through this class.
+charges reads/writes to the assigned shard through this class.  It is the
+one home of "which shards hold a key": every placed key maps to one
+replica tuple, primary first, whatever the replication factor.
 
-A one-shard array is bit-identical to the pre-sharding single
-:class:`DiskModel` path — same float operations, same clock categories —
+A one-shard array charges bit-identical time to a single
+:class:`DiskModel` — same float operations, same clock categories —
 which the parity tests enforce.
 
 Keys can be stored **k-way replicated** (``replication=k``): the policy's
@@ -38,9 +40,7 @@ tracked here too — ``fail_shard`` destroys a shard's replicas (promoting
 surviving copies, recording data loss when none survive),
 ``degrade_shard`` slows its reads by a factor, ``recover_shard`` returns
 the (empty) spindle to service — so the failure campaigns in
-:mod:`repro.storage.failures` have one place to flip.  With the default
-``replication=1`` and no health events none of this machinery executes,
-preserving the bit-parity contract above.
+:mod:`repro.storage.failures` have one place to flip.
 """
 
 from __future__ import annotations
@@ -190,11 +190,9 @@ def placement_named(name: Union[str, PlacementPolicy]) -> PlacementPolicy:
 class ShardedDiskArray:
     """N independent disk shards behind one placement map.
 
-    Duck-types the single :class:`DiskModel` (``read``/``write``/speed
-    estimates and the ``read_bandwidth``/``request_overhead`` attributes
-    delegate to shard 0), so every pre-sharding caller keeps working; the
-    sharding-aware paths use the keyed entry points (``place``/``locate``/
-    ``read_for``/``write_for``/``migrate``).
+    Callers use the keyed entry points: ``place``/``locate``/``replicas``
+    decide and answer where a key lives, ``read_at``/``write_at``/
+    ``migrate`` charge one shard's spindle.
     """
 
     def __init__(
@@ -237,14 +235,13 @@ class ShardedDiskArray:
             )
         self.replication = replication
         # placement state
-        self._assignment: Dict[ShardKey, int] = {}
-        self._key_bytes: Dict[ShardKey, float] = {}
-        #: replica sets, primary first; only populated for replicated keys,
-        #: so the replication=1 path never touches (or pays for) this map.
+        #: The placement map: every placed key's replica tuple, primary
+        #: first, in placement order (``fail_shard`` walks it in order).
         self._replicas: Dict[ShardKey, Tuple[int, ...]] = {}
+        self._key_bytes: Dict[ShardKey, float] = {}
         #: keys whose every replica was destroyed: key -> bytes lost.
         self._lost: Dict[ShardKey, float] = {}
-        # shard health (empty containers = the bit-parity fast path)
+        # shard health (empty containers = every shard up)
         self._failed: Set[int] = set()
         self._degraded: Dict[int, float] = {}
         self.failures_injected = 0
@@ -279,9 +276,7 @@ class ShardedDiskArray:
         and registers each with its ready-heap index
         (:class:`~repro.query.eventloop.ReadyHeapIndex`), so retrievals
         queued on different spindles wait in different heaps and overlap.
-        A one-shard array keeps the pre-sharding ``"disk"`` name so its
-        traces and stats stay bit-compatible with a plain
-        :class:`DiskModel`.
+        A one-shard array names its single pool plain ``"disk"``.
         """
         if self.n_shards > 1:
             return [f"disk:{i}" for i in range(self.n_shards)]
@@ -296,33 +291,6 @@ class ShardedDiskArray:
     def shard_keys(self) -> List[int]:
         """Stored keys per shard (a copy)."""
         return list(self._shard_keys)
-
-    # -- DiskModel compatibility (shard 0) ---------------------------------
-
-    @property
-    def read_bandwidth(self) -> float:
-        return self.disks[0].read_bandwidth
-
-    @property
-    def write_bandwidth(self) -> float:
-        return self.disks[0].write_bandwidth
-
-    @property
-    def request_overhead(self) -> float:
-        return self.disks[0].request_overhead
-
-    def read(self, n_bytes: float, requests: int = 1) -> float:
-        return self.read_at(0, n_bytes, requests)
-
-    def write(self, n_bytes: float, requests: int = 1) -> float:
-        return self.write_at(0, n_bytes, requests)
-
-    def sequential_read_speed(self, bytes_per_video_second: float) -> float:
-        return self.disks[0].sequential_read_speed(bytes_per_video_second)
-
-    def raw_read_speed(self, stored, frame_bytes, consumer_sampling=None):
-        return self.disks[0].raw_read_speed(stored, frame_bytes,
-                                            consumer_sampling)
 
     # -- charged per-shard operations --------------------------------------
 
@@ -388,39 +356,22 @@ class ShardedDiskArray:
 
     def place(self, stream: str, fmt_text: str, index: int,
               nbytes: float, activity: float = 0.0) -> int:
-        """Assign (or re-find) the shard of a key; records the bytes.
+        """Assign (or re-find) the shards of a key; returns its primary.
 
-        A key already placed keeps its shard — only its byte accounting is
-        refreshed (an overwrite may change the segment's size).
+        A new key lands on the ``replication`` distinct shards the policy's
+        :meth:`PlacementPolicy.choose_replicas` picks; a failed primary is
+        replaced by the least-loaded healthy shard.  A key already placed
+        keeps its shards — only its byte accounting is refreshed (an
+        overwrite may change the segment's size).
         """
         key = (stream, fmt_text, index)
-        shard = self._assignment.get(key)
-        if shard is not None:
-            old = self._key_bytes[key]
-            delta = nbytes - old
-            for replica in self._replicas.get(key, (shard,)):
+        replicas = self._replicas.get(key)
+        if replicas is not None:
+            delta = nbytes - self._key_bytes[key]
+            for replica in replicas:
                 self._shard_bytes[replica] += delta
             self._key_bytes[key] = nbytes
-            return shard
-        if self.replication > 1:
-            return self._place_replicated(key, nbytes, activity)
-        shard = self.placement.choose(self, stream, fmt_text, index,
-                                      nbytes, activity)
-        if not 0 <= shard < self.n_shards:
-            raise StorageError(
-                f"placement {self.placement.name!r} chose shard {shard} "
-                f"outside [0, {self.n_shards})"
-            )
-        if shard in self._failed:
-            shard = self._healthiest_shard(exclude=())
-        self._record(key, shard, nbytes)
-        self.placements_made += 1
-        return shard
-
-    def _place_replicated(self, key: ShardKey, nbytes: float,
-                          activity: float) -> int:
-        """Place a new key on ``replication`` distinct shards."""
-        stream, fmt_text, index = key
+            return replicas[0]
         replicas = self.placement.choose_replicas(
             self, stream, fmt_text, index, nbytes, activity, self.replication
         )
@@ -452,11 +403,7 @@ class ShardedDiskArray:
                 f"placement {self.placement.name!r} produced only "
                 f"{len(replicas)} replicas for factor {self.replication}"
             )
-        self._record(key, replicas[0], nbytes)
-        for replica in replicas[1:]:
-            self._shard_bytes[replica] += nbytes
-            self._shard_keys[replica] += 1
-        self._replicas[key] = tuple(replicas)
+        self._record(key, tuple(replicas), nbytes)
         self.placements_made += 1
         return replicas[0]
 
@@ -486,49 +433,32 @@ class ShardedDiskArray:
         if shard >= self.n_shards or shard < 0:
             shard = shard % self.n_shards
             self.folded_placements += 1
-        key = (stream, fmt_text, index)
-        self._record(key, shard, nbytes)
+        kept = [shard]
+        for replica in replicas or ():
+            folded = replica % self.n_shards
+            if folded != replica:
+                self.folded_placements += 1
+            if folded not in kept:
+                kept.append(folded)
+        self._record((stream, fmt_text, index), tuple(kept), nbytes)
         self.placements_made += 1
-        if replicas is not None and len(replicas) > 1:
-            kept = [shard]
-            for replica in replicas:
-                folded = replica % self.n_shards
-                if folded != replica:
-                    self.folded_placements += 1
-                if folded not in kept:
-                    kept.append(folded)
-                    self._shard_bytes[folded] += nbytes
-                    self._shard_keys[folded] += 1
-            if len(kept) > 1:
-                self._replicas[key] = tuple(kept)
         return shard
 
-    def _record(self, key: ShardKey, shard: int, nbytes: float) -> None:
+    def _record(self, key: ShardKey, replicas: Tuple[int, ...],
+                nbytes: float) -> None:
         # Re-placing a key destroyed by failures makes it live again.
         self._lost.pop(key, None)
-        self._assignment[key] = shard
+        self._replicas[key] = replicas
         self._key_bytes[key] = nbytes
-        self._shard_bytes[shard] += nbytes
-        self._shard_keys[shard] += 1
+        for replica in replicas:
+            self._shard_bytes[replica] += nbytes
+            self._shard_keys[replica] += 1
         seg = (key[0], key[2])
-        self._segment_shard.setdefault(seg, shard)
+        self._segment_shard.setdefault(seg, replicas[0])
         self._segment_formats[seg] = self._segment_formats.get(seg, 0) + 1
 
-    def locate(self, stream: str, fmt_text: str, index: int) -> Optional[int]:
-        """The shard a key was placed on, or None when never placed."""
-        return self._assignment.get((stream, fmt_text, index))
-
-    def forget(self, stream: str, fmt_text: str, index: int) -> Optional[int]:
-        """Drop a key's placement (the segment was deleted)."""
-        key = (stream, fmt_text, index)
-        self._lost.pop(key, None)
-        shard = self._assignment.pop(key, None)
-        if shard is None:
-            return None
-        nbytes = self._key_bytes.pop(key)
-        for replica in self._replicas.pop(key, (shard,)):
-            self._shard_bytes[replica] -= nbytes
-            self._shard_keys[replica] -= 1
+    def _drop_segment_format(self, key: ShardKey) -> None:
+        """A key left the map: its segment has one placed format fewer."""
         seg = (key[0], key[2])
         remaining = self._segment_formats.get(seg, 1) - 1
         if remaining <= 0:
@@ -536,19 +466,38 @@ class ShardedDiskArray:
             self._segment_shard.pop(seg, None)
         else:
             self._segment_formats[seg] = remaining
-        return shard
+
+    def locate(self, stream: str, fmt_text: str, index: int) -> Optional[int]:
+        """The primary shard of a key, or None when never placed."""
+        replicas = self._replicas.get((stream, fmt_text, index))
+        return None if replicas is None else replicas[0]
+
+    def forget(self, stream: str, fmt_text: str, index: int) -> Optional[int]:
+        """Drop a key's placement (the segment was deleted)."""
+        key = (stream, fmt_text, index)
+        self._lost.pop(key, None)
+        replicas = self._replicas.pop(key, None)
+        if replicas is None:
+            return None
+        nbytes = self._key_bytes.pop(key)
+        for replica in replicas:
+            self._shard_bytes[replica] -= nbytes
+            self._shard_keys[replica] -= 1
+        self._drop_segment_format(key)
+        return replicas[0]
 
     def reassign(self, stream: str, fmt_text: str, index: int,
                  dst: int) -> int:
-        """Move a key's placement to another shard (rebalance bookkeeping).
+        """Move a key's primary to another shard (rebalance bookkeeping).
 
         Charges nothing: the caller is responsible for the migration I/O
         (see :meth:`migrate`).
         """
         key = (stream, fmt_text, index)
-        src = self._assignment.get(key)
-        if src is None:
+        replicas = self._replicas.get(key)
+        if replicas is None:
             raise StorageError(f"cannot reassign unplaced key {key!r}")
+        src = replicas[0]
         if not 0 <= dst < self.n_shards:
             raise StorageError(f"no such shard: {dst}")
         if dst == src:
@@ -557,21 +506,16 @@ class ShardedDiskArray:
             raise ShardFailedError(
                 f"cannot reassign {key!r} onto failed shard {dst}"
             )
-        replicas = self._replicas.get(key)
-        if replicas is not None:
-            if dst in replicas:
-                raise StorageError(
-                    f"shard {dst} already holds a replica of {key!r}"
-                )
-            self._replicas[key] = tuple(
-                dst if r == src else r for r in replicas
+        if dst in replicas:
+            raise StorageError(
+                f"shard {dst} already holds a replica of {key!r}"
             )
+        self._replicas[key] = (dst,) + replicas[1:]
         nbytes = self._key_bytes[key]
         self._shard_bytes[src] -= nbytes
         self._shard_keys[src] -= 1
         self._shard_bytes[dst] += nbytes
         self._shard_keys[dst] += 1
-        self._assignment[key] = dst
         seg = (key[0], key[2])
         if self._segment_shard.get(seg) == src:
             self._segment_shard[seg] = dst
@@ -583,21 +527,13 @@ class ShardedDiskArray:
                  ) -> Tuple[int, ...]:
         """Every shard holding a copy of a key, primary first.
 
-        Unreplicated keys return a one-tuple; unplaced keys return ``()``.
+        Unplaced keys return ``()``.
         """
-        key = (stream, fmt_text, index)
-        existing = self._replicas.get(key)
-        if existing is not None:
-            return existing
-        shard = self._assignment.get(key)
-        return () if shard is None else (shard,)
+        return self._replicas.get((stream, fmt_text, index), ())
 
     def replica_assignments(self) -> Dict[ShardKey, Tuple[int, ...]]:
         """Snapshot of every placed key's full replica set."""
-        return {
-            key: self._replicas.get(key, (shard,))
-            for key, shard in self._assignment.items()
-        }
+        return dict(self._replicas)
 
     def add_replica(self, stream: str, fmt_text: str, index: int,
                     shard: int) -> None:
@@ -607,7 +543,8 @@ class ShardedDiskArray:
         the ``on_done`` commit that makes the new copy readable.
         """
         key = (stream, fmt_text, index)
-        if key not in self._assignment:
+        current = self._replicas.get(key)
+        if current is None:
             raise StorageError(f"cannot replicate unplaced key {key!r}")
         if not 0 <= shard < self.n_shards:
             raise StorageError(f"no such shard: {shard}")
@@ -615,7 +552,6 @@ class ShardedDiskArray:
             raise ShardFailedError(
                 f"cannot place a replica on failed shard {shard}"
             )
-        current = self._replicas.get(key, (self._assignment[key],))
         if shard in current:
             raise StorageError(
                 f"shard {shard} already holds a replica of {key!r}"
@@ -626,30 +562,6 @@ class ShardedDiskArray:
         self._replicas[key] = current + (shard,)
         self.replicas_rebuilt += 1
         self.rebuilt_bytes += nbytes
-
-    def drop_replica(self, stream: str, fmt_text: str, index: int,
-                     shard: int) -> None:
-        """Remove one copy of a key (never the last one)."""
-        key = (stream, fmt_text, index)
-        current = self._replicas.get(key, ())
-        if shard not in current:
-            raise StorageError(
-                f"shard {shard} holds no replica of {key!r}"
-            )
-        if len(current) == 1:
-            raise StorageError(
-                f"cannot drop the last replica of {key!r}; use forget()"
-            )
-        nbytes = self._key_bytes[key]
-        self._shard_bytes[shard] -= nbytes
-        self._shard_keys[shard] -= 1
-        survivors = tuple(r for r in current if r != shard)
-        self._replicas[key] = survivors
-        if self._assignment[key] == shard:
-            self._assignment[key] = survivors[0]
-            seg = (key[0], key[2])
-            if self._segment_shard.get(seg) == shard:
-                self._segment_shard[seg] = survivors[0]
 
     # -- shard health ------------------------------------------------------
 
@@ -695,33 +607,25 @@ class ShardedDiskArray:
         self._degraded.pop(shard, None)
         self.failures_injected += 1
         rebuild: List[Tuple[ShardKey, float, int]] = []
-        for key in [k for k, s in self._assignment.items()
-                    if shard in self._replicas.get(k, (s,))]:
+        for key, replicas in [(k, r) for k, r in self._replicas.items()
+                              if shard in r]:
             nbytes = self._key_bytes[key]
             self._shard_bytes[shard] -= nbytes
             self._shard_keys[shard] -= 1
-            survivors = tuple(
-                r for r in self._replicas.get(key, (self._assignment[key],))
-                if r != shard
-            )
+            survivors = tuple(r for r in replicas if r != shard)
             if not survivors:
                 # Data loss: the key is gone from the store's bookkeeping
                 # but remembered so reads can say *why* they fail.
-                del self._assignment[key]
+                del self._replicas[key]
                 del self._key_bytes[key]
-                self._replicas.pop(key, None)
                 self._lost[key] = nbytes
-                seg = (key[0], key[2])
-                remaining = self._segment_formats.get(seg, 1) - 1
-                if remaining <= 0:
-                    self._segment_formats.pop(seg, None)
-                    self._segment_shard.pop(seg, None)
-                else:
-                    self._segment_formats[seg] = remaining
+                self._drop_segment_format(key)
                 continue
             source = self._fastest_shard(survivors)
-            if self._assignment[key] == shard:
-                self._assignment[key] = source
+            if replicas[0] == shard:
+                # The primary died: the rebuild source is promoted.
+                survivors = (source,) + tuple(r for r in survivors
+                                              if r != source)
             seg = (key[0], key[2])
             if self._segment_shard.get(seg) == shard:
                 self._segment_shard[seg] = source
@@ -783,26 +687,23 @@ class ShardedDiskArray:
                              index: int) -> Optional[int]:
         """The shard a read of this key should route to *right now*.
 
-        Healthy stores answer the primary (bit-identical to the
-        pre-failure path).  Under failures, reads route to the fastest
+        Healthy stores answer the primary.  Under failures, reads route to the fastest
         surviving replica; a key with no surviving copy raises
         :class:`~repro.errors.ReplicaUnavailableError`.
         """
         key = (stream, fmt_text, index)
-        primary = self._assignment.get(key)
-        if primary is None:
+        replicas = self._replicas.get(key)
+        if replicas is None:
             if key in self._lost:
                 raise ReplicaUnavailableError(
                     f"all replicas of stream={stream} format={fmt_text} "
                     f"segment={index} were lost to shard failures"
                 )
             return None
+        primary = replicas[0]
         if not self._failed and not self._degraded:
             return primary
-        survivors = tuple(
-            r for r in self._replicas.get(key, (primary,))
-            if r not in self._failed
-        )
+        survivors = tuple(r for r in replicas if r not in self._failed)
         if not survivors:
             raise ShardFailedError(
                 f"every shard holding stream={stream} format={fmt_text} "
@@ -832,10 +733,10 @@ class ShardedDiskArray:
         return self.disks[self.segment_shard(stream, index) or 0]
 
     def assignments(self) -> Dict[ShardKey, Tuple[int, float]]:
-        """Snapshot of every placed key: key -> (shard, bytes)."""
+        """Snapshot of every placed key: key -> (primary shard, bytes)."""
         return {
-            key: (shard, self._key_bytes[key])
-            for key, shard in self._assignment.items()
+            key: (replicas[0], self._key_bytes[key])
+            for key, replicas in self._replicas.items()
         }
 
     # -- balance metrics ---------------------------------------------------

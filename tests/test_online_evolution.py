@@ -328,3 +328,23 @@ def test_evolve_skips_golden_segments_lost_at_k1(tmp_path):
         assert report.reencoded_segments == survivors * len(
             report.replan.added)
         assert report.reencoded_segments > 0
+
+
+def test_foreground_query_type_stays_plannable_after_evolve(tmp_path):
+    """A query type served only as ``foreground`` during an evolution is
+    part of the replan, so it can still be planned afterwards."""
+    query_b = {"query": "B", "dataset": "jackson", "accuracy": 0.9,
+               "t0": 0.0, "t1": 16.0}
+    query_a = dict(query_b, query="A")
+    with VStore(workdir=str(tmp_path)) as store:
+        store.configure()
+        store.ingest("jackson", n_segments=8)
+        store.execute_many([query_b] * 6)
+
+        report = store.evolve_online(foreground=[query_a])
+
+        consumers = report.replan.configuration.consumers
+        for operator in ("Diff", "S-NN", "NN"):
+            assert Consumer(operator, 0.9) in consumers
+        outcomes = store.execute_many([query_a])
+        assert len(outcomes) == 1

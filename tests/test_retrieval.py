@@ -9,9 +9,9 @@ from repro.codec.encoder import Encoder
 from repro.errors import StorageError
 from repro.retrieval.reader import SegmentReader
 from repro.retrieval.speed import retrieval_speed
-from repro.storage.disk import DiskModel
 from repro.storage.kvstore import KVStore
 from repro.storage.segment_store import SegmentStore
+from repro.storage.sharding import ShardedDiskArray
 from repro.video.coding import Coding, RAW
 from repro.video.fidelity import Fidelity
 from repro.video.format import StorageFormat
@@ -52,7 +52,7 @@ class TestReader:
     @pytest.fixture()
     def store(self, tmp_path):
         kv = KVStore(str(tmp_path / "seg.log"))
-        store = SegmentStore(kv, DiskModel(clock=SimClock()))
+        store = SegmentStore(kv, ShardedDiskArray(1, clock=SimClock()))
         enc = Encoder(clock=SimClock())
         for fmt in (ENCODED, RAW_FMT):
             for i in range(3):
@@ -126,7 +126,7 @@ class TestBatchAssessParity:
     @pytest.fixture()
     def store(self, tmp_path):
         kv = KVStore(str(tmp_path / "seg.log"))
-        store = SegmentStore(kv, DiskModel(clock=SimClock()))
+        store = SegmentStore(kv, ShardedDiskArray(1, clock=SimClock()))
         enc = Encoder(clock=SimClock())
         for fmt in (ENCODED, RAW_FMT):
             for i in range(5):

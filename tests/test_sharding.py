@@ -5,6 +5,7 @@ degenerate and the genuinely sharded configurations stay covered; tests
 that need a specific shard count pin it explicitly.
 """
 
+import json
 import os
 
 import pytest
@@ -88,16 +89,11 @@ class TestShardedDiskArray:
         clock_a, clock_b = SimClock(), SimClock()
         single = DiskModel(clock=clock_a)
         array = ShardedDiskArray(1, clock=clock_b)
-        assert single.read(12_345_678, requests=3) == array.read(
-            12_345_678, requests=3
+        assert single.read(12_345_678, requests=3) == array.read_at(
+            0, 12_345_678, requests=3
         )
         assert clock_a.now == clock_b.now
         assert clock_a.by_category == clock_b.by_category
-
-    def test_disk_model_compat_surface(self):
-        array = ShardedDiskArray(2)
-        assert array.read_bandwidth == array.disks[0].read_bandwidth
-        assert array.sequential_read_speed(1e6) == array.disks[0].sequential_read_speed(1e6)
 
     def test_migrate_charges_both_sides(self):
         array = ShardedDiskArray(2)
@@ -257,8 +253,16 @@ class TestStoreIntegration:
         segment folds onto shard 0 and all lookups keep working."""
         path = str(tmp_path / "segments.log")
         kv = KVStore(path)
-        plain = SegmentStore(kv, DiskModel(clock=SimClock()))
-        plain.put(_encode(FMT_A, 7))
+        encoded = _encode(FMT_A, 7)
+        legacy = {
+            "size_bytes": encoded.size_bytes,
+            "n_frames": encoded.n_frames,
+            "activity": encoded.activity,
+            "seconds": encoded.segment.seconds,
+            "payload": False,
+        }
+        kv.put(SegmentStore._key("cam", FMT_A, 7),
+               json.dumps(legacy).encode("utf-8") + b"\x00")
         kv.close()
 
         kv = KVStore(path)
@@ -338,11 +342,23 @@ class TestRebalance:
         assert report.seconds == 0.0
         kv.close()
 
-    def test_rebalance_noop_on_plain_disk_model(self, tmp_path):
+    def test_rebalance_reports_only_applied_moves(self, tmp_path):
+        """A planned move onto a shard already holding a copy is skipped,
+        and the report counts only the moves that were applied."""
         kv = KVStore(str(tmp_path / "segments.log"))
-        store = SegmentStore(kv, DiskModel(clock=SimClock()))
-        store.put(_encode(FMT_A, 0))
-        assert store.rebalance().moves == 0
+        array = ShardedDiskArray(3, placement=_PinToZero(), replication=2)
+        store = SegmentStore(kv, array)
+        for i in range(8):
+            store.put(_encode(FMT_A, i))
+            store.put(_encode(FMT_B, i))
+        planned = plan_rebalance(array.assignments(), array.n_shards)
+
+        report = store.rebalance()
+
+        assert len(planned) == 6
+        assert array.migrations == 3  # three moves hit a secondary copy
+        assert report.moves == array.migrations
+        assert report.bytes_moved == array.migrated_bytes
         kv.close()
 
 
@@ -372,8 +388,8 @@ def fleet_stores(tmp_path_factory):
 
 class TestEndToEnd:
     def test_single_shard_parity_with_pre_sharding_store(self, fleet_stores):
-        """shards=1 must charge bit-identical time to the pre-sharding
-        sequential reference (the original plain-DiskModel loop)."""
+        """shards=1 must charge bit-identical time to the sequential
+        reference loop."""
         store = fleet_stores[1]
         engine = store.engine("jackson")
         new = engine.execute(QUERY_A, 0.9, store.segments, 0.0, 32.0)

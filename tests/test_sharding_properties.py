@@ -211,15 +211,21 @@ def _check_books(array):
         assert per_shard_keys[i] == 0
 
 
-@given(ops=_fault_ops, n_shards=st.integers(min_value=2, max_value=6))
+@given(ops=_fault_ops, n_shards=st.integers(min_value=2, max_value=6),
+       data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_fail_rebuild_interleavings_keep_books_consistent(ops, n_shards):
+def test_fail_rebuild_interleavings_keep_books_consistent(ops, n_shards,
+                                                          data):
     """reassign/migrate/forget interleaved with shard failures and replica
-    rebuilds conserve bytes and keep locate/assignments consistent."""
+    rebuilds conserve bytes and keep locate/assignments consistent, at
+    every replication factor (k=1 keys live in the same map)."""
     from repro.errors import ShardFailedError, StorageError
 
+    replication = data.draw(st.integers(min_value=1,
+                                        max_value=min(3, n_shards)),
+                            label="replication")
     array = ShardedDiskArray(n_shards, placement="round-robin",
-                             replication=min(2, n_shards))
+                             replication=replication)
     pending = []  # (key, nbytes, source) rebuild work from failures
     for op, idx, arg in ops:
         shard = arg % n_shards
