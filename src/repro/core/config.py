@@ -160,9 +160,7 @@ def derive_configuration(
                      else library.consumers())
     if not consumers:
         raise ConfigurationError("cannot configure a store with no consumers")
-    if profile_datasets is None:
-        profile_datasets = DEFAULT_PROFILE_DATASETS
-    datasets = dict(profile_datasets)
+    datasets = resolve_profile_datasets(profile_datasets)
 
     profilers = build_operator_profilers(
         library, consumers, datasets, clock, profilers

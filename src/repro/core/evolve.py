@@ -42,7 +42,6 @@ from repro.core.coalesce import (
 from repro.core.config import (
     ConfigStats,
     Configuration,
-    DEFAULT_PROFILE_DATASETS,
     build_operator_profilers,
     derive_configuration,
     mean_profile_activity,
@@ -133,7 +132,7 @@ def add_operators(
     adaptation cost at O(new operators) rather than a full round.
     """
     clock = clock or SimClock()
-    datasets = dict(profile_datasets or DEFAULT_PROFILE_DATASETS)
+    datasets = resolve_profile_datasets(profile_datasets)
     existing = {c for c in config.consumers}
     added = [c for c in new_consumers if c not in existing]
     if not added:

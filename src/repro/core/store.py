@@ -27,8 +27,8 @@ from repro.cache.plane import CacheConfig, CachePlane, CacheStats
 from repro.clock import SimClock
 from repro.core.config import (
     Configuration,
-    DEFAULT_PROFILE_DATASETS,
     derive_configuration,
+    resolve_profile_datasets,
 )
 from repro.core.drift import DriftDetector
 from repro.core.evolve import (
@@ -92,7 +92,7 @@ class VStore:
         replication: int = 1,
     ):
         self.library = library or default_library()
-        self.profile_datasets = dict(profile_datasets or DEFAULT_PROFILE_DATASETS)
+        self.profile_datasets = resolve_profile_datasets(profile_datasets)
         self.ingest_budget = ingest_budget
         self.storage_budget_bytes = storage_budget_bytes
         self.lifespan_days = lifespan_days

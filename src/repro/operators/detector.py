@@ -30,12 +30,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from repro.operators.accuracy import Confusion
-from repro.operators.base import (
-    Operator,
-    QUALITY_DETAIL,
-    logistic,
-    propagation_map,
-)
+from repro.operators.base import Operator, QUALITY_DETAIL, logistic
 from repro.video.content import ClipTruth, Track
 from repro.video.fidelity import Fidelity, RESOLUTIONS
 
@@ -107,36 +102,54 @@ class DetectorOperator(Operator):
           ground-truth box: objects drift away from a stale box, so the
           match decays with (speed x hold gap) relative to object size.
           This is where sparse sampling costs detector accuracy.
-        """
-        p_full = self.detection_prob(clip.tracks, self.ingest_fidelity)
-        detectable = p_full >= 0.5
-        # Relative detection probability: 1 at ingest fidelity by definition.
-        p_now = self.detection_prob(clip.tracks, fidelity)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p_rel = np.where(detectable, np.minimum(1.0, p_now / p_full), 0.0)
 
-        truth = clip.visible & detectable[:, None]  # (nt, n)
-        consumed = clip.consumed_index(fidelity)
-        covering = propagation_map(clip.n_frames, consumed)  # (n,)
-        vis_crop = clip.in_crop(fidelity.crop)
+        Only ``p_pred`` is combined per call; the rest are knob views of
+        the clip.
+        """
+        truth = clip.view((self, "truth"), self._truth, clip)
+        p_rel = clip.view(
+            (self, "p_rel", fidelity.quality_idx, fidelity.resolution_idx),
+            self._relative_detection, clip, fidelity)
         # Probability the operator reports the track present at frame j:
         # it must be in the cropped view at the covering sample, and detected.
-        present_at_sample = vis_crop[:, covering]
-        p_pred = p_rel[:, None] * present_at_sample
-
-        gaps = (np.arange(clip.n_frames) - covering) / float(clip.fps)  # (n,)
-        if clip.tracks:
-            drift = np.array([
-                tr.speed * tr.duty / (self.hold_match_scale * tr.size + 0.1)
-                for tr in clip.tracks
-            ])
-            match = np.exp(-drift[:, None] * gaps[None, :])
-            # A held box cannot match once the object has left the cropped
-            # view; the stale claim is then a miss plus a spurious box.
-            match = match * vis_crop
-        else:
-            match = np.ones((0, clip.n_frames))
+        p_pred = p_rel[:, None] * clip.present_at_sample(fidelity)
+        match = clip.view(
+            ("match", self.hold_match_scale, fidelity.sampling_idx,
+             fidelity.crop_idx),
+            self._match, clip, fidelity)
         return truth, p_pred, match
+
+    def _ingest_detection(self, clip: ClipTruth) -> np.ndarray:
+        """Per-track detection probability at the ingest fidelity."""
+        return clip.view((self, "ingest"), self.detection_prob, clip.tracks,
+                         self.ingest_fidelity)
+
+    def _truth(self, clip: ClipTruth) -> np.ndarray:
+        """(nt, n) bool: presence in the operator's ingest-fidelity output."""
+        return clip.visible & (self._ingest_detection(clip) >= 0.5)[:, None]
+
+    def _relative_detection(self, clip: ClipTruth,
+                            fidelity: Fidelity) -> np.ndarray:
+        """(nt,) detection probability relative to the ingest fidelity's:
+        1 at ingest fidelity by definition, 0 for undetectable tracks."""
+        p_full = self._ingest_detection(clip)
+        detectable = p_full >= 0.5
+        p_now = self.detection_prob(clip.tracks, fidelity)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(detectable, np.minimum(1.0, p_now / p_full), 0.0)
+
+    def _match(self, clip: ClipTruth, fidelity: Fidelity) -> np.ndarray:
+        """(nt, n) probability a held box still matches the object."""
+        if not clip.tracks:
+            return np.ones((0, clip.n_frames))
+        drift = np.array([
+            tr.speed * tr.duty / (self.hold_match_scale * tr.size + 0.1)
+            for tr in clip.tracks
+        ])
+        match = np.exp(-drift[:, None] * clip.hold_gaps(fidelity)[None, :])
+        # A held box cannot match once the object has left the cropped
+        # view; the stale claim is then a miss plus a spurious box.
+        return match * clip.crop_mask(fidelity)
 
     def expected_confusion(self, clip: ClipTruth, fidelity: Fidelity) -> Confusion:
         n = clip.n_frames
@@ -177,5 +190,5 @@ class DetectorOperator(Operator):
             return np.zeros((len(consumed), 0), dtype=bool)
         p = self.detection_prob(clip.tracks, fidelity)
         persistent = rng.random(len(clip.tracks)) < p
-        vis = clip.in_crop(fidelity.crop)[:, consumed]
+        vis = clip.crop_mask(fidelity)[:, consumed]
         return (vis & persistent[:, None]).T

@@ -65,6 +65,7 @@ class OpflowOperator(SignalOperator):
 
     def label_probability(self, clip: ClipTruth, fidelity: Fidelity) -> np.ndarray:
         base = super().label_probability(clip, fidelity)
-        confidence = self.gap_confidence(clip, fidelity)
+        confidence = clip.view((self, "gap", fidelity.sampling_idx),
+                               self.gap_confidence, clip, fidelity)
         # Low confidence pulls the label toward a coin flip.
         return 0.5 + (base - 0.5) * confidence

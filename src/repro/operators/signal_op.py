@@ -17,12 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.operators.accuracy import Confusion
-from repro.operators.base import (
-    Operator,
-    QUALITY_DETAIL,
-    logistic,
-    propagation_map,
-)
+from repro.operators.base import Operator, QUALITY_DETAIL, logistic
 from repro.video.content import ClipTruth
 from repro.video.fidelity import Fidelity, RESOLUTIONS
 
@@ -82,15 +77,19 @@ class SignalOperator(Operator):
 
     def signal(self, clip: ClipTruth, fidelity: Fidelity) -> np.ndarray:
         """Measured per-frame signal at ``fidelity`` (n,)."""
-        base = self.camera_weight * _camera_activity(clip)
+        base = self.camera_weight * clip.view("camera", _camera_activity,
+                                              clip)
         if not clip.tracks:
             return base
-        contribution = self.object_contribution(clip)
-        weights = self.resolve_weight(clip, fidelity)
+        contribution = clip.view((self, "contribution"),
+                                 self.object_contribution, clip)
+        weights = clip.view(
+            (self, "resolve", fidelity.quality_idx, fidelity.resolution_idx),
+            self.resolve_weight, clip, fidelity)
         # Only objects that are both inside the cropped view and in the
         # moving phase of their duty cycle change pixels frame to frame.
-        active = clip.in_crop(fidelity.crop) & clip.moving
-        per_frame = (contribution * weights)[:, None] * active
+        per_frame = (contribution * weights)[:, None] \
+            * clip.moving_in_crop(fidelity)
         return base + per_frame.sum(axis=0)
 
     def true_signal(self, clip: ClipTruth) -> np.ndarray:
@@ -118,14 +117,18 @@ class SignalOperator(Operator):
         """Per-frame positive-label probability after label hold: the
         covering sample's label, decayed toward 0.5 with the hold gap."""
         p = self.label_probability(clip, fidelity)
-        consumed = clip.consumed_index(fidelity)
-        covering = propagation_map(clip.n_frames, consumed)
-        gaps = (np.arange(clip.n_frames) - covering) / float(clip.fps)
-        confidence = np.exp(-gaps * self.hold_decay)
-        return 0.5 + (p[covering] - 0.5) * confidence
+        confidence = clip.view(
+            ("hold", self.hold_decay, fidelity.sampling_idx),
+            lambda: np.exp(-clip.hold_gaps(fidelity) * self.hold_decay))
+        return 0.5 + (p[clip.covering(fidelity)] - 0.5) * confidence
+
+    def _true_labels(self, clip: ClipTruth) -> np.ndarray:
+        """(n,) bool: the operator's own label at the ingest fidelity."""
+        return clip.view((self, "labels"),
+                         lambda: self.true_signal(clip) > self.threshold)
 
     def expected_confusion(self, clip: ClipTruth, fidelity: Fidelity) -> Confusion:
-        truth = self.true_signal(clip) > self.threshold
+        truth = self._true_labels(clip)
         p_held = self._held_probability(clip, fidelity)
         tp = float(p_held[truth].sum())
         fn = float((1.0 - p_held[truth]).sum())

@@ -31,6 +31,7 @@ from repro.video.fidelity import (
     QUALITIES,
     RESOLUTIONS,
     SAMPLING_RATES,
+    fidelity_at,
     fidelity_space,
     knobwise_max,
 )
@@ -45,6 +46,7 @@ __all__ = [
     "Dataset",
     "DATASETS",
     "Fidelity",
+    "fidelity_at",
     "fidelity_space",
     "FrameTruth",
     "get_dataset",

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Hashable, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -253,6 +254,14 @@ class ClipTruth:
     their detection models against these arrays.  A clip is immutable (its
     arrays are read-only and its tracks a tuple), because
     :meth:`ContentModel.clip` hands the same object to every caller.
+
+    A clip also memoizes its *knob views*: read-only arrays that depend
+    only on the clip and on one or two fidelity knobs (the frames a
+    sampling rate consumes, the crop mask of a crop factor, ...), plus
+    the per-operator vectors operators keep through :meth:`view`.  An
+    entry is built the first time its knob values are asked for and
+    lives exactly as long as the clip, so a profiling probe or a query
+    plan only combines ready arrays.
     """
 
     def __init__(
@@ -280,6 +289,7 @@ class ClipTruth:
         self.ys = ys
         self.moving = moving  # (n_tracks, n) bool: in the moving duty phase
         self.activity = activity  # (n,)
+        self._views: Dict[Hashable, Any] = {}
 
     @classmethod
     def build(cls, model: ContentModel, t0: float, duration: float,
@@ -339,7 +349,10 @@ class ClipTruth:
         and starting at frame 0 (e.g. 1/30 keeps frames 0, 30, 60, ...;
         2/3 keeps frames 0, 1, 3, 4, 6, ...).
         """
-        s = float(fidelity.sampling)
+        return self.view(("consumed", fidelity.sampling_idx),
+                         self._consumed_index, float(fidelity.sampling))
+
+    def _consumed_index(self, s: float) -> np.ndarray:
         if s >= 1.0:
             return np.arange(self.n_frames)
         n_consumed = int(np.ceil(self.n_frames * s))
@@ -349,3 +362,62 @@ class ClipTruth:
     def mean_activity(self) -> float:
         """Average frame-change activity; drives the codec size model."""
         return float(np.mean(self.activity)) if self.n_frames else 0.0
+
+    # -- knob views ----------------------------------------------------------
+
+    def view(self, key: Hashable, build: Callable[..., Any],
+             *args: Any) -> Any:
+        """The memoized ``build(*args)`` under ``key``.
+
+        ``key`` must name everything the value depends on besides this
+        clip (knob indices, an operator instance).  Array values are made
+        read-only, since every later caller receives the same object.
+        """
+        value = self._views.get(key)
+        if value is None:
+            value = build(*args)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            self._views[key] = value
+        return value
+
+    def crop_mask(self, fidelity: Fidelity) -> np.ndarray:
+        """:meth:`in_crop` at ``fidelity``'s crop factor (memoized)."""
+        return self.view(("crop", fidelity.crop_idx), self.in_crop,
+                         fidelity.crop)
+
+    def moving_in_crop(self, fidelity: Fidelity) -> np.ndarray:
+        """(n_tracks, n) mask: inside the cropped view and in the moving
+        phase of the duty cycle, i.e. changing pixels frame to frame."""
+        return self.view(("moving", fidelity.crop_idx),
+                         lambda: self.crop_mask(fidelity) & self.moving)
+
+    def covering(self, fidelity: Fidelity) -> np.ndarray:
+        """For each ingest frame, the consumed frame whose output covers it
+        at ``fidelity``'s sampling rate (see :func:`propagation_map`)."""
+        return self.view(
+            ("covering", fidelity.sampling_idx),
+            lambda: propagation_map(self.n_frames,
+                                    self.consumed_index(fidelity)))
+
+    def hold_gaps(self, fidelity: Fidelity) -> np.ndarray:
+        """(n,) seconds each frame's held label has aged since the
+        consumed frame that produced it."""
+        return self.view(
+            ("gaps", fidelity.sampling_idx),
+            lambda: (np.arange(self.n_frames) - self.covering(fidelity))
+            / float(self.fps))
+
+    def present_at_sample(self, fidelity: Fidelity) -> np.ndarray:
+        """(n_tracks, n) mask: the track was in the cropped view at the
+        consumed frame covering each frame."""
+        return self.view(
+            ("present", fidelity.sampling_idx, fidelity.crop_idx),
+            lambda: self.crop_mask(fidelity)[:, self.covering(fidelity)])
+
+
+def propagation_map(n_frames: int, consumed: np.ndarray) -> np.ndarray:
+    """For each ingest frame j, the index of the consumed frame whose output
+    covers j (the latest consumed frame at or before j)."""
+    positions = np.searchsorted(consumed, np.arange(n_frames), side="right") - 1
+    return consumed[np.maximum(positions, 0)]

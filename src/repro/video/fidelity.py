@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import FidelityError, KnobError
 
@@ -216,22 +216,51 @@ class Fidelity:
         )
 
 
+#: Knob-index flyweights: one shared :class:`Fidelity` per combination of
+#: knob indices, at the position :func:`fidelity_space` enumerates it,
+#: built on first lookup.
+_FLYWEIGHTS: List[Optional[Fidelity]] = [None] * (
+    len(QUALITIES) * len(RESOLUTION_ORDER) * len(SAMPLING_RATES)
+    * len(CROP_FACTORS))
+
+
+def fidelity_at(quality_idx: int, resolution_idx: int, sampling_idx: int,
+                crop_idx: int) -> Fidelity:
+    """The shared fidelity with these knob indices (poorest value is 0).
+
+    Equal to (and hashing like) ``Fidelity(...)`` spelled with the knob
+    values; repeated lookups return the very same object, so hot loops
+    that move through the space by index never build a fidelity twice.
+    """
+    if not (0 <= quality_idx < len(QUALITIES)
+            and 0 <= resolution_idx < len(RESOLUTION_ORDER)
+            and 0 <= sampling_idx < len(SAMPLING_RATES)
+            and 0 <= crop_idx < len(CROP_FACTORS)):
+        raise KnobError(
+            f"knob indices out of range: quality={quality_idx}, "
+            f"resolution={resolution_idx}, sampling={sampling_idx}, "
+            f"crop={crop_idx}")
+    pos = ((quality_idx * len(RESOLUTION_ORDER) + resolution_idx)
+           * len(SAMPLING_RATES) + sampling_idx) * len(CROP_FACTORS) + crop_idx
+    fid = _FLYWEIGHTS[pos]
+    if fid is None:
+        fid = _FLYWEIGHTS[pos] = Fidelity(
+            QUALITIES[quality_idx], RESOLUTION_ORDER[resolution_idx],
+            SAMPLING_RATES[sampling_idx], CROP_FACTORS[crop_idx])
+    return fid
+
+
 def fidelity_space() -> Iterator[Fidelity]:
     """Iterate the full 4-D fidelity space F (600 options)."""
-    for quality, resolution, sampling, crop in product(
-        QUALITIES, RESOLUTION_ORDER, SAMPLING_RATES, CROP_FACTORS
-    ):
-        yield Fidelity(quality, resolution, sampling, crop)
+    for idx in product(range(len(QUALITIES)), range(len(RESOLUTION_ORDER)),
+                       range(len(SAMPLING_RATES)), range(len(CROP_FACTORS))):
+        yield fidelity_at(*idx)
 
 
 def richest_fidelity() -> Fidelity:
     """The knob-wise maximum of the whole space (the ingest format)."""
-    return Fidelity(
-        quality=QUALITIES[-1],
-        resolution=RESOLUTION_ORDER[-1],
-        sampling=SAMPLING_RATES[-1],
-        crop=CROP_FACTORS[-1],
-    )
+    return fidelity_at(len(QUALITIES) - 1, len(RESOLUTION_ORDER) - 1,
+                       len(SAMPLING_RATES) - 1, len(CROP_FACTORS) - 1)
 
 
 def knobwise_max(options: Sequence[Fidelity]) -> Fidelity:
@@ -242,12 +271,7 @@ def knobwise_max(options: Sequence[Fidelity]) -> Fidelity:
     """
     if not options:
         raise FidelityError("knobwise_max of an empty set")
-    return Fidelity(
-        quality=QUALITIES[max(f.quality_idx for f in options)],
-        resolution=RESOLUTION_ORDER[max(f.resolution_idx for f in options)],
-        sampling=SAMPLING_RATES[max(f.sampling_idx for f in options)],
-        crop=CROP_FACTORS[max(f.crop_idx for f in options)],
-    )
+    return fidelity_at(*map(max, zip(*(f._idx for f in options))))
 
 
 def knob_counts() -> Dict[str, int]:

@@ -7,7 +7,9 @@ so tests can hold the replacement to bit-identical results:
   force the event-heap core on fleets the fast path would take;
 * :mod:`oracles.engine` — the original sequential single-query loop;
 * :mod:`oracles.profiler` — the per-call scalar codec surfaces behind a
-  drop-in coding profiler.
+  drop-in coding profiler;
+* :mod:`oracles.operators` — per-call operator scoring that rebuilds
+  every array a probe needs instead of reading the clip's knob views.
 
 The shipped package never imports from here.  ``tests/`` is on
 ``sys.path`` for test modules (and ``benchmarks/conftest.py`` adds it

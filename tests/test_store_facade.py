@@ -25,6 +25,16 @@ def test_configure_is_cached(store):
     assert store.configure(force=True) is not a
 
 
+def test_empty_profile_datasets_are_not_replaced_by_the_defaults():
+    # Only None means "profile on the paper's datasets"; an explicit empty
+    # assignment profiles nothing, so configuring must fail exactly like
+    # derive_configuration(profile_datasets={}) does.
+    s = VStore(library=default_library(names=("Diff",)), profile_datasets={})
+    assert s.profile_datasets == {}
+    with pytest.raises(ConfigurationError, match="no profiling dataset"):
+        s.configure()
+
+
 def test_unconfigured_store_rejects_use(tmp_path):
     s = VStore()
     with pytest.raises(ConfigurationError):

@@ -30,7 +30,10 @@ from repro.video.fidelity import (
     RESOLUTION_ORDER,
     SAMPLING_RATES,
     Fidelity,
+    fidelity_at,
     fidelity_space,
+    knobwise_max,
+    richest_fidelity,
 )
 from repro.video.format import StorageFormat
 
@@ -128,6 +131,48 @@ def test_equal_spellings_are_equal_with_one_hash(fid, crop_pick,
     assert other.richer_equal(fid) and fid.richer_equal(other)
     parsed = Fidelity.parse(other.label)
     assert parsed == other and hash(parsed) == hash(other)
+
+
+def test_flyweight_lookups_share_one_object_per_knob_index():
+    for f in FIDELITIES:
+        idx = (f.quality_idx, f.resolution_idx, f.sampling_idx, f.crop_idx)
+        shared = fidelity_at(*idx)
+        assert fidelity_at(*idx) is shared
+        assert shared is f  # fidelity_space enumerates the flyweights
+        spelled = Fidelity(QUALITIES[idx[0]], RESOLUTION_ORDER[idx[1]],
+                           SAMPLING_RATES[idx[2]], CROP_FACTORS[idx[3]])
+        assert spelled is not shared
+        assert spelled == shared and hash(spelled) == hash(shared)
+        assert _fields(spelled) == _fields(shared)
+        assert {spelled: 1}[shared] == 1
+
+
+def test_space_helpers_return_flyweights():
+    richest = richest_fidelity()
+    assert richest is richest_fidelity() is FIDELITIES[-1]
+    assert richest.label == "best-720p-1-100%"
+    a = Fidelity.parse("good-200p-1/6-100%")
+    b = Fidelity.parse("bad-540p-1/30-50%")
+    joined = knobwise_max([a, b])
+    assert joined == Fidelity.parse("good-540p-1/6-100%")
+    assert joined is fidelity_at(joined.quality_idx, joined.resolution_idx,
+                                 joined.sampling_idx, joined.crop_idx)
+
+
+@pytest.mark.parametrize("idx", [
+    (4, 0, 0, 0), (0, 10, 0, 0), (0, 0, 5, 0), (0, 0, 0, 3),
+    (-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1),
+])
+def test_flyweight_lookup_rejects_out_of_range_indices(idx):
+    with pytest.raises(KnobError):
+        fidelity_at(*idx)
+
+
+def test_pickled_flyweight_equals_the_shared_object():
+    for f in FIDELITIES[::41]:
+        loaded = pickle.loads(pickle.dumps(f))
+        assert loaded == f and hash(loaded) == hash(f)
+        assert loaded is not f
 
 
 def test_demand_hash_is_its_field_tuple_hash():
